@@ -75,8 +75,8 @@ def parity_successor_fixture() -> Fixture:
     """
 
     def even_to_odd(x: float, y: float) -> bool:
-        xi, yi = int(round(x)), int(round(y))
-        return xi % 2 == 0 and yi % 2 == 1
+        # points off the integers relate to nothing
+        return x.is_integer() and y.is_integer() and x % 2 == 0 and y % 2 == 1
 
     return Fixture(
         key="Ex1_7",

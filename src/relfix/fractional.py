@@ -8,6 +8,12 @@ linear data for every admissible order and second-order accurate on smooth
 data, including at the endpoint where the kernel is unbounded for orders
 below 2.
 
+On a uniform grid a cell's two weights depend only on its lag behind the
+evaluation node, so each order needs one lag vector of n + 1 weights, plus
+a correction at node 0.  All nodes at once are a convolution of the node
+values with that vector; a single node is one dot product.  Memory is O(n)
+and the weights are rebuilt on every call; nothing is cached.
+
 The boundary term couples the solution to a double integral over [0, k].
 Swapping the integration order turns it into a single product integration at
 order beta + 1,
@@ -26,7 +32,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -53,65 +58,39 @@ __all__ = [
     "solve_fbvp",
 ]
 
-# Rational-series gamma approximation, expansion parameter g = 607/128.
-# Coefficients are frozen; the accuracy contract (relative error at or below
-# 1e-12 on [0.1, 30]) is enforced by the test suite.
-_GAMMA_G = 4.7421875
-_GAMMA_COEFFS = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_SQRT_TWO_PI = 2.5066282746310005
-
-
 def gamma_fn(z: float) -> float:
     """Gamma function on the positive half line."""
     z = float(z)
     if not (math.isfinite(z) and z > 0.0):
         raise DomainError(f"gamma_fn is defined for z > 0 only, got {z!r}")
-    series = _GAMMA_COEFFS[0]
-    for i, c in enumerate(_GAMMA_COEFFS[1:], start=1):
-        series += c / (z + i)
-    t = z + _GAMMA_G + 0.5
-    return math.exp((z + 0.5) * math.log(t) - t) * _SQRT_TWO_PI * series / z
+    return math.gamma(z)
 
 
-@lru_cache(maxsize=64)
-def _rl_weight_matrix(beta: float, n: int) -> np.ndarray:
-    """Row i holds node weights so that row . values approximates
-    (1 / Gamma(beta)) int_0^{t_i} (t_i - s)^(beta - 1) v(s) ds exactly for
-    piecewise-linear v."""
-    h = 1.0 / n
-    weights = np.zeros((n + 1, n + 1))
-    norm = gamma_fn(beta) * h
-    for i in range(1, n + 1):
-        j = np.arange(i, dtype=float)
-        a = (i - j) * h
-        b = (i - j - 1.0) * h
-        pa, pb = a**beta, b**beta
-        dq = (a ** (beta + 1.0) - b ** (beta + 1.0)) / (beta + 1.0)
-        dp = (pa - pb) / beta
-        left = dq - b * dp
-        right = a * dp - dq
-        row = weights[i]
-        row[:i] += left
-        row[1 : i + 1] += right
-        row /= norm
-    weights.setflags(write=False)
-    return weights
+def _lag_weights(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Convolution kernel and node-0 correction of the order-beta rule.
+
+    The cell at lag m = 1 .. n + 1 behind a node gives its left end the
+    weight ``left[m - 1]`` and its right end ``right[m - 1]``, whatever the
+    node.  Node i weighs node j >= 1 by ``kernel[i - j]``, the sum of the
+    right end of the lag-(i - j) cell and the left end of the lag-(i - j + 1)
+    cell, and node 0 by ``kernel[i] - right[i]``: no cell lies left of it.
+    """
+    m = np.arange(1, n + 2, dtype=float)
+    b = m - 1.0
+    dq = (m ** (beta + 1.0) - b ** (beta + 1.0)) / (beta + 1.0)
+    dp = (m**beta - b**beta) / beta
+    scale = n**-beta / gamma_fn(beta)
+    left = (dq - b * dp) * scale
+    right = (m * dp - dq) * scale
+    kernel = right.copy()
+    kernel[1:] += left[:-1]
+    return kernel, right
+
+
+def _rl_at(values: np.ndarray, beta: float, n: int, i: int) -> float:
+    """Fractional integral of order beta at node i alone, in O(n)."""
+    kernel, right = _lag_weights(beta, n)
+    return float(kernel[i::-1] @ values[: i + 1] - right[i] * values[0])
 
 
 def rl_integral_nodes(values: np.ndarray, beta: float, grid: Grid) -> np.ndarray:
@@ -119,9 +98,11 @@ def rl_integral_nodes(values: np.ndarray, beta: float, grid: Grid) -> np.ndarray
     if beta <= 0.0:
         raise DomainError(f"integral order must be positive, got {beta!r}")
     values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n + 1,):
-        raise ShapeError(f"expected {grid.n + 1} node values, got shape {values.shape}")
-    return _rl_weight_matrix(float(beta), grid.n) @ values
+    n = grid.n
+    if values.shape != (n + 1,):
+        raise ShapeError(f"expected {n + 1} node values, got shape {values.shape}")
+    kernel, right = _lag_weights(float(beta), n)
+    return np.convolve(kernel, values)[: n + 1] - right * values[0]
 
 
 def rl_integral(values: GridFn, beta: float, t_index: int) -> float:
@@ -131,8 +112,7 @@ def rl_integral(values: GridFn, beta: float, t_index: int) -> float:
         raise DomainError(f"node index {t_index} outside 0..{n}")
     if beta <= 0.0:
         raise DomainError(f"integral order must be positive, got {beta!r}")
-    row = _rl_weight_matrix(float(beta), n)[t_index]
-    return float(row @ values.values)
+    return _rl_at(values.values, float(beta), n, t_index)
 
 
 def _second_differences(v: np.ndarray, h: float) -> np.ndarray:
@@ -281,7 +261,7 @@ def apply_operator(problem: FbvpProblem, x: GridFn) -> GridFn:
     at_one = main[-1]
     # Order-swapped double integral: a single product integration at order
     # beta + 1, evaluated at the snapped k node.
-    double = float(_rl_weight_matrix(beta + 1.0, grid.n)[problem.k_index] @ fv)
+    double = _rl_at(fv, beta + 1.0, grid.n, problem.k_index)
     k_used = problem.k_used
     coupling = (2.0 * t / (2.0 + k_used * k_used)) * (at_one + double)
     if problem.variant is OperatorVariant.PAPER_EXACT:

@@ -9,6 +9,7 @@ All values are immutable after construction, so every operation here is pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence, Union
@@ -48,8 +49,10 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"grid needs a positive integer subinterval count, got {self.n!r}")
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise DomainError(f"grid needs a positive integer subinterval count, got {n!r}")
+        object.__setattr__(self, "n", int(n))
 
     @property
     def h(self) -> float:

@@ -50,6 +50,14 @@ class TestVerifyExample:
         assert lines[0] == "n,point_or_norm,d_gap,p_gap,bound"
         assert lines[1].startswith("0,2.0,")
 
+    @pytest.mark.parametrize("example_id, step", [("Ex1_7", "0.5"), ("Ex1_7", "0.25")])
+    def test_battery_passes_at_finer_step(self, example_id, step, tmp_path):
+        out = tmp_path / example_id
+        args = ["verify-example", example_id, "--step", step, "--out", str(out)]
+        assert main(args) == STATUS_OK
+        record = json.loads((out / "report.json").read_text())
+        assert record["summary"]["all_pass"] is True
+
     def test_step_override_recorded(self, tmp_path):
         out = tmp_path / "step"
         assert main(["verify-example", "Ex2_3", "--step", "0.2", "--out", str(out)]) == STATUS_OK

@@ -1,6 +1,7 @@
 """Gamma function, fractional quadrature, and the boundary-value solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,47 @@ class TestRlIntegral:
         g = Grid(8)
         with pytest.raises(DomainError):
             rl_integral(zero_grid_fn(g), 0.0, 4)
+
+
+def dense_weight_row(beta, n, i):
+    """Node weights of the order-beta integral at t_i, built cell by cell:
+    the kernel moments over each cell [t_j, t_(j+1)] against the two hat
+    functions of its ends."""
+    h = 1.0 / n
+    row = np.zeros(n + 1)
+    for j in range(i):
+        a, b = (i - j) * h, (i - j - 1) * h
+        dq = (a ** (beta + 1.0) - b ** (beta + 1.0)) / (beta + 1.0)
+        dp = (a**beta - b**beta) / beta
+        row[j] += dq - b * dp
+        row[j + 1] += a * dp - dq
+    return row / (math.gamma(beta) * h)
+
+
+class TestLagWeights:
+    @pytest.mark.parametrize("beta", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_agrees_with_dense_rows(self, beta, n):
+        g = Grid(n)
+        values = np.random.default_rng(n).uniform(0.5, 2.0, n + 1)
+        got = rl_integral_nodes(values, beta, g)
+        for i in sorted({0, 1, 2, n // 3, n // 2, n - 1, n}):
+            want = dense_weight_row(beta, n, i) @ values
+            assert abs(got[i] - want) <= 1e-12 * abs(want)
+            assert abs(rl_integral(grid_fn(g, values), beta, i) - want) <= 1e-12 * abs(want)
+
+    def test_memory_stays_linear_in_n(self):
+        # a dense (n + 1)^2 weight matrix would take 134 MB here
+        n = 4096
+        g = Grid(n)
+        values = np.linspace(0.0, 1.0, n + 1)
+        tracemalloc.start()
+        try:
+            rl_integral_nodes(values, 1.5, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
 
 class TestCaputoResidual:

@@ -30,6 +30,17 @@ class TestGridAndPoints:
         with pytest.raises(DomainError):
             Grid(0)
 
+    def test_grid_accepts_numpy_integers(self):
+        for n in (np.int64(8), np.int32(8), np.uint16(8)):
+            g = Grid(n)
+            assert g == Grid(8)
+            assert type(g.n) is int
+
+    @pytest.mark.parametrize("n", [2.0, 8.5, True, "8", np.float64(8.0), np.int64(0)])
+    def test_grid_rejects_bad_counts(self, n):
+        with pytest.raises(DomainError):
+            Grid(n)
+
     def test_scalar_rejects_nan(self):
         with pytest.raises(DomainError):
             scalar(float("nan"))
