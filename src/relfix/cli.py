@@ -435,6 +435,7 @@ def run_solve_fbvp(config_path: Path, out_dir: Path) -> int:
         "command": "solve-fbvp",
         "config": dict(sorted(raw.items())),
         "problem": problem.to_record(),
+        "limits": {"tol": tol, "max_iter": max_iter},
     }
     checks: dict = {}
     advisories: list[str] = []

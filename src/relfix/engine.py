@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
@@ -31,6 +31,8 @@ from .spaces import (
     describe_point,
     point_distance,
     points_equal,
+    row_blocks,
+    scalar_values,
 )
 from .wdistance import WDistance
 
@@ -69,10 +71,37 @@ class UniquenessVerdict(Enum):
 
 @dataclass(frozen=True)
 class SelfMap:
-    """A named map from points to points of the same kind."""
+    """A named map from points to points of the same kind.
+
+    ``array``, when present, is the same map written with numpy operations
+    on scalar values; ``apply_all`` maps an all-scalar sample through it in
+    one call.
+    """
 
     name: str
     apply: Callable[[Point], Point]
+    array: Callable | None = field(default=None, repr=False, compare=False)
+
+    def apply_all(self, points: Sequence[Point]) -> list[Point]:
+        """The image of every point, in order; each distinct point is mapped
+        once."""
+        values = scalar_values(points) if self.array is not None else None
+        if values is None:
+            images: dict[Point, Point] = {}
+            for pt in points:
+                if pt not in images:
+                    images[pt] = self.apply(pt)
+            return [images[pt] for pt in points]
+        with np.errstate(all="ignore"):
+            images = np.broadcast_to(self.array(values), values.shape)
+        return [ScalarPoint(v) for v in images.tolist()]
+
+    @staticmethod
+    def elementwise(name: str, fn: Callable) -> "SelfMap":
+        """A map on scalar points from one function written with numpy
+        operations (``np.where``, ``np.select``), so that it accepts floats
+        and arrays alike."""
+        return SelfMap(name, lambda pt: ScalarPoint(fn(as_scalar(pt))), fn)
 
     @staticmethod
     def on_scalars(name: str, fn: Callable[[float], float]) -> "SelfMap":
@@ -259,13 +288,16 @@ def certify_cauchy(trace: OrbitTrace, p: WDistance, tol: float = 1e-10) -> Cauch
     pts = trace.points
     if not pts:
         raise PreconditionError("empty trace")
+    count = len(pts)
+    bound = np.asarray(trace.bound, dtype=float)
+    index = np.arange(count)
     violations = []
-    for n in range(len(pts) - 1):
-        u = float(trace.bound[n])
-        for m in range(n + 1, len(pts)):
-            value = p(pts[n], pts[m])
-            if value > u + tol:
-                violations.append((n, m, value, u))
+    for rows in row_blocks(count - 1, count):
+        later = index[rows, None] < index[None, :]
+        values = p.matrix(pts[rows], pts, where=later)
+        for i, j in np.argwhere(later & (values > bound[rows, None] + tol)):
+            n = rows.start + int(i)
+            violations.append((n, int(j), float(values[i, j]), float(bound[n])))
     return CauchyCheck(not violations, tuple(violations))
 
 
@@ -390,11 +422,12 @@ def probe_uniqueness(
 
     # Condition 1: a common relation ancestor with geometrically decaying
     # pair distance to every candidate.
-    z_pool: list[Point] = list([z_hint] if z_hint is not None else [])
-    z_pool.extend(map_.apply(s) for s in sample)
+    images = map_.apply_all(sample)
+    z_pool = ([z_hint] if z_hint is not None else []) + images
+    related_to_all = rel.matrix(z_pool, candidates).all(axis=1)
     found_related_z = False
-    for z in z_pool:
-        if not all(rel(z, c) for c in candidates):
+    for z, related in zip(z_pool, related_to_all):
+        if not related:
             continue
         found_related_z = True
         if _geometric_decay_holds(map_, p, lam, z, candidates, n_steps, decay_tol):
@@ -409,7 +442,6 @@ def probe_uniqueness(
 
     # Condition 2: relation complete on the image sample and the contraction
     # collapses every distinct candidate pair.
-    images = [map_.apply(s) for s in sample]
     completeness = check_complete_on(rel, images) if images else None
     if completeness is not None and completeness.ok:
         if lam >= 1.0:

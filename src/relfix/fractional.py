@@ -59,11 +59,15 @@ __all__ = [
 ]
 
 def gamma_fn(z: float) -> float:
-    """Gamma function on the positive half line."""
+    """Gamma function on the positive half line, up to where a float holds it
+    (z of about 171.6)."""
     z = float(z)
     if not (math.isfinite(z) and z > 0.0):
         raise DomainError(f"gamma_fn is defined for z > 0 only, got {z!r}")
-    return math.gamma(z)
+    try:
+        return math.gamma(z)
+    except OverflowError:
+        raise DomainError(f"gamma_fn({z!r}) overflows a float") from None
 
 
 def _lag_weights(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -75,11 +79,11 @@ def _lag_weights(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     right end of the lag-(i - j) cell and the left end of the lag-(i - j + 1)
     cell, and node 0 by ``kernel[i] - right[i]``: no cell lies left of it.
     """
+    scale = n**-beta / gamma_fn(beta)
     m = np.arange(1, n + 2, dtype=float)
     b = m - 1.0
     dq = (m ** (beta + 1.0) - b ** (beta + 1.0)) / (beta + 1.0)
     dp = (m**beta - b**beta) / beta
-    scale = n**-beta / gamma_fn(beta)
     left = (dq - b * dp) * scale
     right = (m * dp - dq) * scale
     kernel = right.copy()

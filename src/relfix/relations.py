@@ -9,12 +9,21 @@ declared tail window of the supplied finite sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
+import numpy as np
+
 from .errors import PreconditionError
-from .spaces import Point, as_scalar, as_values, describe_point, point_distance
+from .spaces import (
+    Point,
+    as_scalar,
+    as_values,
+    describe_point,
+    evaluate_pairs,
+    point_distance,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import SelfMap
@@ -49,11 +58,17 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class Relation:
-    """A decidable predicate over ordered point pairs."""
+    """A decidable predicate over ordered point pairs.
+
+    ``array``, when present, is the same predicate written with numpy
+    operations on scalar values; ``matrix`` and ``along`` broadcast it over
+    all-scalar samples instead of calling ``holds`` once per pair.
+    """
 
     name: str
     holds: Callable[[Point, Point], bool]
     note: str = ""
+    array: Callable | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, x: Point, y: Point) -> bool:
         return bool(self.holds(x, y))
@@ -61,6 +76,23 @@ class Relation:
     def either_order(self, x: Point, y: Point) -> bool:
         """Symmetric closure: (x, y) or (y, x) is related."""
         return self(x, y) or self(y, x)
+
+    def matrix(
+        self, xs: Sequence[Point], ys: Sequence[Point], where: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Bool array of ``self(xs[i], ys[j])``; False off the ``where`` mask."""
+        return evaluate_pairs(self, self.array, xs, ys, outer=True, fill=False, where=where)
+
+    def along(self, xs: Sequence[Point], ys: Sequence[Point]) -> np.ndarray:
+        """Bool array of ``self(xs[k], ys[k])`` over aligned pairs."""
+        return evaluate_pairs(self, self.array, xs, ys, outer=False, fill=False)
+
+    @staticmethod
+    def elementwise(name: str, pred: Callable, note: str = "") -> "Relation":
+        """A relation on scalar points from one predicate written with numpy
+        operations (``&``, ``|``, ``np.where``), so that it accepts floats and
+        broadcast arrays alike."""
+        return Relation(name, lambda x, y: bool(pred(as_scalar(x), as_scalar(y))), note, pred)
 
     @staticmethod
     def on_scalars(name: str, pred: Callable[[float, float], bool], note: str = "") -> "Relation":
@@ -109,37 +141,34 @@ def is_preserving(rel: Relation, seq: Sequence[Point]) -> bool:
     seq = list(seq)
     if len(seq) < 2:
         raise PreconditionError("a preserving check needs at least two points")
-    return all(rel(a, b) for a, b in zip(seq, seq[1:]))
+    return bool(rel.along(seq[:-1], seq[1:]).all())
+
+
+def _check_closed(
+    rel: Relation, map_: "SelfMap", sample: Sequence[Point], either_order: bool
+) -> RelationReport:
+    sample = list(sample)
+    if not sample:
+        raise PreconditionError("empty sample")
+    images = map_.apply_all(sample)
+    related = rel.matrix(sample, sample)
+    kept = rel.matrix(images, images, where=related)
+    if either_order:
+        kept |= rel.matrix(images, images, where=(related & ~kept).T).T
+    bad = tuple((sample[i], sample[j]) for i, j in np.argwhere(related & ~kept))
+    verdict = Verdict.FAILS_WITH_WITNESS if bad else Verdict.HOLDS_ON_SAMPLE
+    prop = RelationProperty.WEAK_T_CLOSED if either_order else RelationProperty.T_CLOSED
+    return RelationReport(prop, verdict, bad, len(sample))
 
 
 def check_t_closed(rel: Relation, map_: "SelfMap", sample: Sequence[Point]) -> RelationReport:
     """Do images of related sampled pairs stay related, in the same order?"""
-    sample = list(sample)
-    if not sample:
-        raise PreconditionError("empty sample")
-    images = {id(x): map_.apply(x) for x in sample}
-    bad = []
-    for x in sample:
-        for y in sample:
-            if rel(x, y) and not rel(images[id(x)], images[id(y)]):
-                bad.append((x, y))
-    verdict = Verdict.FAILS_WITH_WITNESS if bad else Verdict.HOLDS_ON_SAMPLE
-    return RelationReport(RelationProperty.T_CLOSED, verdict, tuple(bad), len(sample))
+    return _check_closed(rel, map_, sample, either_order=False)
 
 
 def check_weak_t_closed(rel: Relation, map_: "SelfMap", sample: Sequence[Point]) -> RelationReport:
     """Like ``check_t_closed`` but the image pair may be related in either order."""
-    sample = list(sample)
-    if not sample:
-        raise PreconditionError("empty sample")
-    images = {id(x): map_.apply(x) for x in sample}
-    bad = []
-    for x in sample:
-        for y in sample:
-            if rel(x, y) and not rel.either_order(images[id(x)], images[id(y)]):
-                bad.append((x, y))
-    verdict = Verdict.FAILS_WITH_WITNESS if bad else Verdict.HOLDS_ON_SAMPLE
-    return RelationReport(RelationProperty.WEAK_T_CLOSED, verdict, tuple(bad), len(sample))
+    return _check_closed(rel, map_, sample, either_order=True)
 
 
 def find_start_points(rel: Relation, map_: "SelfMap", sample: Sequence[Point]) -> list[Point]:
@@ -147,7 +176,8 @@ def find_start_points(rel: Relation, map_: "SelfMap", sample: Sequence[Point]) -
     sample = list(sample)
     if not sample:
         raise PreconditionError("empty sample")
-    return [x for x in sample if rel(x, map_.apply(x))]
+    starts = rel.along(sample, map_.apply_all(sample))
+    return [x for x, ok in zip(sample, starts) if ok]
 
 
 def check_complete_on(rel: Relation, sample: Sequence[Point]) -> RelationReport:
@@ -155,13 +185,11 @@ def check_complete_on(rel: Relation, sample: Sequence[Point]) -> RelationReport:
     sample = list(sample)
     if not sample:
         raise PreconditionError("empty sample")
-    bad = []
-    for i, x in enumerate(sample):
-        for y in sample[i:]:
-            if not rel.either_order(x, y):
-                bad.append((x, y))
+    related = rel.matrix(sample, sample)
+    unrelated = np.triu(~(related | related.T))
+    bad = tuple((sample[i], sample[j]) for i, j in np.argwhere(unrelated))
     verdict = Verdict.FAILS_WITH_WITNESS if bad else Verdict.HOLDS_ON_SAMPLE
-    return RelationReport(RelationProperty.COMPLETE, verdict, tuple(bad), len(sample))
+    return RelationReport(RelationProperty.COMPLETE, verdict, bad, len(sample))
 
 
 @dataclass(frozen=True)
@@ -201,10 +229,10 @@ def witness_d_self_closed(
         raise PreconditionError(
             f"sequence tail is {gap:.3e} from the limit, above tolerance {tol:.3e}"
         )
-    related = [rel(x, limit) for x in seq]
+    related = rel.matrix(seq, [limit])[:, 0]
     window = max(1, int(len(seq) * tail_fraction))
     tail_start = len(seq) - window
-    if all(related[tail_start:]):
+    if related[tail_start:].all():
         good = tuple(i for i, r in enumerate(related) if r)
         return SubsequenceWitness(True, good, tail_start)
     bad = tuple(i for i, r in enumerate(related) if not r)

@@ -39,7 +39,16 @@ __all__ = [
     "function_space",
     "metric_eval",
     "sample_space",
+    "MAX_SAMPLE_POINTS",
+    "scalar_values",
+    "row_blocks",
+    "evaluate_pairs",
 ]
+
+MAX_SAMPLE_POINTS = 1_000_000
+
+# Elements per block when a pair array is built a few rows at a time.
+BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -236,7 +245,12 @@ def metric_eval(space: MetricSpace, x: Point, y: Point) -> float:
 
 def _interval_lattice(iv: Interval, step: float) -> list[float]:
     span = iv.hi - iv.lo
-    last = int(math.floor(span / step + 1e-9))
+    ratio = span / step + 1e-9
+    if not ratio < MAX_SAMPLE_POINTS:
+        raise SamplingError(
+            f"step {step!r} gives more than {MAX_SAMPLE_POINTS} points on [{iv.lo}, {iv.hi}]"
+        )
+    last = int(math.floor(ratio))
     vals = [iv.lo + i * step for i in range(last + 1)]
     if vals and math.isclose(vals[-1], iv.hi, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(iv.hi))):
         vals[-1] = iv.hi
@@ -261,8 +275,8 @@ def sample_space(
     function.  Identical arguments always produce identical samples.
     """
     if isinstance(space.kind, Interval):
-        if step is None or step <= 0:
-            raise SamplingError("interval sampling needs step > 0")
+        if step is None or not (math.isfinite(step) and step > 0):
+            raise SamplingError(f"interval sampling needs a finite step > 0, got {step!r}")
         vals = _interval_lattice(space.kind, step)
         if not vals:
             raise SamplingError("interval sample is empty")
@@ -278,4 +292,65 @@ def sample_space(
     out: list[Point] = [zero_grid_fn(grid)]
     for _ in range(count):
         out.append(GridFn(grid, rng.uniform(lo, hi, grid.n + 1)))
+    return out
+
+
+def scalar_values(points: Sequence[Point]) -> np.ndarray | None:
+    """The values of an all-scalar point sequence as a float array, or None
+    when some point is not a ``ScalarPoint``."""
+    if not all(isinstance(pt, ScalarPoint) for pt in points):
+        return None
+    return np.fromiter((pt.value for pt in points), dtype=float, count=len(points))
+
+
+def row_blocks(rows: int, width: int):
+    """Slices of consecutive rows covering ``rows``, each holding about
+    ``BLOCK_ELEMENTS`` entries of a row ``width`` wide."""
+    step = max(1, BLOCK_ELEMENTS // max(1, width))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
+def evaluate_pairs(
+    fn: Callable[[Point, Point], object],
+    array: Callable | None,
+    xs: Sequence[Point],
+    ys: Sequence[Point],
+    *,
+    outer: bool,
+    fill,
+    where: np.ndarray | None = None,
+) -> np.ndarray:
+    """``fn(xs[i], ys[j])`` for every i, j (``outer``) or along aligned pairs
+    ``fn(xs[k], ys[k])``.  In the outer form, entries off the ``where`` mask
+    hold ``fill``, whose type is that of the result.
+
+    When ``array`` is given and every point is a ``ScalarPoint`` it is
+    broadcast over the point values, a block of rows at a time; otherwise
+    ``fn`` runs once per pair inside the mask, a row at a time.  This is the
+    only place the two evaluation paths part.
+    """
+    shape = (len(xs), len(ys)) if outer else (len(xs),)
+    if not outer and len(xs) != len(ys):
+        raise ShapeError(f"cannot align {len(xs)} points with {len(ys)}")
+    out = np.full(shape, fill)
+    vx = scalar_values(xs) if array is not None else None
+    vy = scalar_values(ys) if vx is not None else None
+    if vy is not None:
+        blocks = row_blocks(len(xs), len(ys)) if outer else [slice(None)]
+        with np.errstate(all="ignore"):
+            for rows in blocks:
+                a, b = (vx[rows, None], vy[None, :]) if outer else (vx, vy)
+                value = np.broadcast_to(array(a, b), out[rows].shape)
+                if where is None:
+                    out[rows] = value
+                else:
+                    np.copyto(out[rows], value, casting="unsafe", where=where[rows])
+        return out
+    if not outer:
+        out[:] = [fn(x, y) for x, y in zip(xs, ys)]
+        return out
+    for i, x in enumerate(xs):
+        cols = range(len(ys)) if where is None else np.flatnonzero(where[i]).tolist()
+        out[i, cols] = [fn(x, ys[j]) for j in cols]
     return out

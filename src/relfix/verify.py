@@ -19,7 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .engine import OrbitTrace, SelfMap, StopReason, iterate
 from .errors import DivergenceError, EstimationError, PreconditionError
@@ -29,7 +31,7 @@ from .relations import (
     find_start_points,
     witness_d_self_closed,
 )
-from .spaces import MetricSpace, Point, describe_point, metric_eval, points_equal
+from .spaces import MetricSpace, Point, describe_point, points_equal, row_blocks
 from .wdistance import WDistance
 
 __all__ = [
@@ -143,16 +145,79 @@ class TheoremReport:
         }
 
 
+# Exact point equality, the diagonal that contraction estimates skip.
+_SAME_POINT = Relation("same_point", points_equal, array=np.equal)
+
+
+class _WorstRatio:
+    """Running worst ratio p(Tx, Ty) / p(x, y) over chunks of pairs met in
+    order: the first maximum wins, and pairs with p(x, y) = 0 go to the
+    zero-p channel instead."""
+
+    def __init__(self, include_diagonal: bool):
+        self.include_diagonal = include_diagonal
+        self.best = 0.0
+        self.witness: tuple[Point, Point] | None = None
+        self.checked = 0
+        self.zero_pairs = 0
+        self.violations: list[tuple[Point, Point]] = []
+
+    def add(
+        self,
+        pair_at: Callable[[int], tuple[Point, Point]],
+        base: np.ndarray,
+        image: np.ndarray,
+        diagonal: np.ndarray,
+    ) -> None:
+        """Fold in one chunk: p(x, y), p(Tx, Ty) and the diagonal flag per
+        pair; ``pair_at(k)`` is the chunk's k-th pair."""
+        keep = np.ones_like(diagonal) if self.include_diagonal else ~diagonal
+        zero = keep & (base == 0.0)
+        self.checked += int(np.count_nonzero(keep))
+        self.zero_pairs += int(np.count_nonzero(zero))
+        self.violations += [pair_at(k) for k in np.flatnonzero(zero & (image > 0.0))]
+        at = np.flatnonzero(keep & ~zero)
+        if not at.size:
+            return
+        ratios = image[at] / base[at]
+        top = int(np.argmax(ratios))
+        if self.witness is None or ratios[top] > self.best:
+            self.best = float(ratios[top])
+            self.witness = pair_at(int(at[top]))
+
+    def estimate(self) -> ContractionEstimate:
+        return ContractionEstimate(
+            self.best,
+            self.witness,
+            self.checked,
+            self.zero_pairs,
+            tuple(self.violations),
+            self.include_diagonal,
+        )
+
+
+def _unzip(
+    rel: Relation, pairs: Sequence[tuple[Point, Point]]
+) -> tuple[list[Point], list[Point]]:
+    """First and second points of the pairs, all of which must be related."""
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    if not rel.along(xs, ys).all():
+        raise PreconditionError(f"pair is not related under {rel.name}")
+    return xs, ys
+
+
 def related_pairs(
     rel: Relation, sample: Sequence[Point], *, cap: int = 1_000_000
 ) -> list[tuple[Point, Point]]:
     """All related ordered pairs from sample x sample, deterministically
     strided down when the count exceeds ``cap``."""
-    pairs = [(x, y) for x in sample for y in sample if rel(x, y)]
-    if len(pairs) > cap:
-        stride = math.ceil(len(pairs) / cap)
-        pairs = pairs[::stride]
-    return pairs
+    sample = list(sample)
+    flat = np.flatnonzero(rel.matrix(sample, sample))
+    if flat.size > cap:
+        flat = flat[:: math.ceil(flat.size / cap)]
+    rows, cols = np.divmod(flat, len(sample))
+    return [(sample[i], sample[j]) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 def estimate_lambda(
@@ -166,38 +231,19 @@ def estimate_lambda(
     pairs = list(pairs)
     if not pairs:
         raise EstimationError("cannot estimate a contraction factor from an empty pair set")
-    images: dict[int, Point] = {}
-
-    def image(pt: Point) -> Point:
-        key = id(pt)
-        if key not in images:
-            images[key] = map_.apply(pt)
-        return images[key]
-
-    best = 0.0
-    witness: tuple[Point, Point] | None = None
-    zero_pairs = 0
-    violations: list[tuple[Point, Point]] = []
-    checked = 0
-    for x, y in pairs:
-        if not rel(x, y):
-            raise PreconditionError(f"pair is not related under {rel.name}")
-        if not include_diagonal and points_equal(x, y):
-            continue
-        checked += 1
-        base = p(x, y)
-        if base == 0.0:
-            zero_pairs += 1
-            if p(image(x), image(y)) > 0.0:
-                violations.append((x, y))
-            continue
-        ratio = p(image(x), image(y)) / base
-        if witness is None or ratio > best:
-            best = ratio
-            witness = (x, y)
-    return ContractionEstimate(
-        best, witness, checked, zero_pairs, tuple(violations), include_diagonal
+    xs, ys = _unzip(rel, pairs)
+    diagonal = _SAME_POINT.along(xs, ys)
+    kept = np.flatnonzero(np.ones_like(diagonal) if include_diagonal else ~diagonal)
+    xs = [xs[k] for k in kept]
+    ys = [ys[k] for k in kept]
+    worst = _WorstRatio(include_diagonal)
+    worst.add(
+        lambda k: (xs[k], ys[k]),
+        p.along(xs, ys),
+        p.along(map_.apply_all(xs), map_.apply_all(ys)),
+        diagonal[kept],
     )
+    return worst.estimate()
 
 
 def compare_classical(
@@ -213,36 +259,69 @@ def compare_classical(
     when d(Tx, Ty) >= M(x, y), which rules out every comparison function
     that is strictly below the identity.
     """
-    images: dict[int, Point] = {}
-
-    def image(pt: Point) -> Point:
-        key = id(pt)
-        if key not in images:
-            images[key] = map_.apply(pt)
-        return images[key]
-
-    rows = []
-    banach = []
-    mt = []
-    for x, y in pairs:
-        if not rel(x, y):
-            raise PreconditionError(f"pair is not related under {rel.name}")
-        tx, ty = image(x), image(y)
-        d_image = metric_eval(space, tx, ty)
-        d_pair = metric_eval(space, x, y)
-        m = max(
-            d_pair,
-            metric_eval(space, x, tx),
-            metric_eval(space, y, ty),
-            0.5 * (metric_eval(space, x, ty) + metric_eval(space, y, tx)),
+    xs, ys = _unzip(rel, list(pairs))
+    tx, ty = map_.apply_all(xs), map_.apply_all(ys)
+    d = WDistance.from_space(space)
+    d_image = d.along(tx, ty)
+    d_pair = d.along(xs, ys)
+    displacement = np.maximum.reduce(
+        [d_pair, d.along(xs, tx), d.along(ys, ty), 0.5 * (d.along(xs, ty) + d.along(ys, tx))]
+    )
+    rows = tuple(
+        PairComparison(x, y, di, dp, m)
+        for x, y, di, dp, m in zip(
+            xs, ys, d_image.tolist(), d_pair.tolist(), displacement.tolist()
         )
-        row = PairComparison(x, y, d_image, d_pair, m)
-        rows.append(row)
-        if d_image > 0.0 and d_image >= d_pair:
-            banach.append(row)
-        if d_image > 0.0 and d_image >= m:
-            mt.append(row)
-    return ClassicalComparison(tuple(rows), tuple(banach), tuple(mt))
+    )
+    moved = d_image > 0.0
+    banach = np.flatnonzero(moved & (d_image >= d_pair))
+    mt = np.flatnonzero(moved & (d_image >= displacement))
+    return ClassicalComparison(
+        rows, tuple(rows[k] for k in banach), tuple(rows[k] for k in mt)
+    )
+
+
+def _sample_estimates(
+    map_: SelfMap,
+    p: WDistance,
+    rel: Relation,
+    sample: list[Point],
+    pair_cap: int,
+) -> tuple[ContractionEstimate, ContractionEstimate]:
+    """The estimates without and with the diagonal over the related sample
+    pairs, strided down as ``related_pairs`` does past ``pair_cap``.
+
+    Only the relation is held for the whole sample; the pair distances are
+    evaluated a block of rows at a time.
+    """
+    m = len(sample)
+    images = map_.apply_all(sample)
+    related = rel.matrix(sample, sample)
+    total = int(np.count_nonzero(related))
+    if not total:
+        raise EstimationError("cannot estimate a contraction factor from an empty pair set")
+    stride = math.ceil(total / pair_cap) if total > pair_cap else 1
+    plain, with_diagonal = _WorstRatio(False), _WorstRatio(True)
+    seen = 0
+    for rows in row_blocks(m, m):
+        selected = related[rows]
+        chosen = np.flatnonzero(selected)
+        if stride > 1:
+            kept = (seen + np.arange(chosen.size)) % stride == 0
+            seen += chosen.size
+            selected.flat[chosen[~kept]] = False  # thins ``related`` in place
+            chosen = chosen[kept]
+        base = p.matrix(sample[rows], sample, where=selected).ravel()[chosen]
+        image = p.matrix(images[rows], images, where=selected).ravel()[chosen]
+        diagonal = _SAME_POINT.matrix(sample[rows], sample, where=selected).ravel()[chosen]
+
+        def pair_at(k: int, start: int = rows.start, chosen: np.ndarray = chosen):
+            i, j = divmod(int(chosen[k]), m)
+            return sample[start + i], sample[j]
+
+        plain.add(pair_at, base, image, diagonal)
+        with_diagonal.add(pair_at, base, image, diagonal)
+    return plain.estimate(), with_diagonal.estimate()
 
 
 def verify_theorem(
@@ -283,10 +362,8 @@ def verify_theorem(
     if not t_ok:
         reasons.append("relation is not map-closed on the sample")
 
-    pairs = related_pairs(rel, sample, cap=pair_cap)
     try:
-        estimate = estimate_lambda(map_, p, rel, pairs)
-        estimate_diag = estimate_lambda(map_, p, rel, pairs, include_diagonal=True)
+        estimate, estimate_diag = _sample_estimates(map_, p, rel, sample, pair_cap)
     except EstimationError as exc:
         reasons.append(str(exc))
         empty = ContractionEstimate(math.inf, None, 0, 0, (), False)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,12 +22,15 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .relations import Relation, Verdict, is_preserving
 from .spaces import (
+    Interval,
     MetricSpace,
     Point,
     as_scalar,
     describe_point,
+    evaluate_pairs,
     metric_eval,
     point_distance,
+    row_blocks,
 )
 
 __all__ = [
@@ -48,18 +52,59 @@ class Axiom(Enum):
     W3_SEPARATION = "separation"
 
 
+def _abs_gap(x, y):
+    return np.abs(x - y)
+
+
 @dataclass(frozen=True)
 class WDistance:
-    """Named nonnegative pair function; evaluations are validated lazily."""
+    """Named nonnegative pair function; evaluations are validated lazily.
+
+    ``array``, when present, is the same function written with numpy
+    operations on scalar values; ``matrix`` and ``along`` broadcast it over
+    all-scalar samples instead of calling ``p`` once per pair.
+    """
 
     name: str
     p: Callable[[Point, Point], float]
+    array: Callable | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, x: Point, y: Point) -> float:
         value = float(self.p(x, y))
         if not (math.isfinite(value) and value >= 0.0):
             raise DomainError(f"{self.name} produced an invalid pair distance {value!r}")
         return value
+
+    def matrix(
+        self, xs: Sequence[Point], ys: Sequence[Point], where: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Float array of ``self(xs[i], ys[j])``, NaN off the ``where`` mask;
+        every value inside the mask is validated."""
+        values = evaluate_pairs(
+            self, self.array, xs, ys, outer=True, fill=np.nan, where=where
+        )
+        return self._validated(values, where)
+
+    def along(self, xs: Sequence[Point], ys: Sequence[Point]) -> np.ndarray:
+        """Float array of ``self(xs[k], ys[k])`` over aligned pairs."""
+        values = evaluate_pairs(self, self.array, xs, ys, outer=False, fill=np.nan)
+        return self._validated(values, None)
+
+    def _validated(self, values: np.ndarray, where: np.ndarray | None) -> np.ndarray:
+        bad = ~(np.isfinite(values) & (values >= 0.0))
+        if where is not None:
+            bad &= where
+        if bad.any():
+            value = float(values[np.unravel_index(np.argmax(bad), bad.shape)])
+            raise DomainError(f"{self.name} produced an invalid pair distance {value!r}")
+        return values
+
+    @staticmethod
+    def elementwise(name: str, fn: Callable) -> "WDistance":
+        """A pair distance on scalar points from one function written with
+        numpy operations, so that it accepts floats and broadcast arrays
+        alike."""
+        return WDistance(name, lambda x, y: float(fn(as_scalar(x), as_scalar(y))), fn)
 
     @staticmethod
     def on_scalars(name: str, fn: Callable[[float, float], float]) -> "WDistance":
@@ -68,7 +113,14 @@ class WDistance:
     @staticmethod
     def from_metric(name: str = "metric") -> "WDistance":
         """The canonical point distance wrapped as a pair distance."""
-        return WDistance(name, point_distance)
+        return WDistance(name, point_distance, _abs_gap)
+
+    @staticmethod
+    def from_space(space: MetricSpace) -> "WDistance":
+        """The metric of ``space`` as a pair distance; it broadcasts when that
+        is the canonical metric of an interval."""
+        canonical = space.metric is None and isinstance(space.kind, Interval)
+        return WDistance("metric", partial(metric_eval, space), _abs_gap if canonical else None)
 
 
 @dataclass(frozen=True)
@@ -130,38 +182,43 @@ class AxiomReport:
         return rec
 
 
-def _pair_matrix(fn, sample: list[Point]) -> np.ndarray:
-    m = len(sample)
-    out = np.empty((m, m))
-    for i, x in enumerate(sample):
-        for j, y in enumerate(sample):
-            out[i, j] = fn(x, y)
-    return out
-
-
 def check_triangle(p: WDistance, sample: Sequence[Point], *, tol: float = 1e-12) -> AxiomReport:
-    """Exhaustive p(x, z) <= p(x, y) + p(y, z) over all sampled triples."""
+    """Exhaustive p(x, z) <= p(x, y) + p(y, z) over all sampled triples.
+
+    The triples are scanned a block of first points x at a time, so memory
+    grows with the square of the sample size, not its cube.
+    """
     sample = list(sample)
     if not sample:
         raise PreconditionError("empty sample")
-    P = _pair_matrix(p, sample)
-    # lhs[i, j, k] = p(x_i, z_k), rhs[i, j, k] = p(x_i, y_j) + p(y_j, z_k)
-    lhs = P[:, None, :]
-    rhs = P[:, :, None] + P[None, :, :]
-    bad = np.argwhere(lhs > rhs + tol)
-    witnesses = tuple(
-        TriangleWitness(
-            sample[i], sample[j], sample[k], float(P[i, k]), float(P[i, j] + P[j, k])
-        )
-        for i, j, k in bad[:50]
-    )
-    verdict = Verdict.FAILS_WITH_WITNESS if len(bad) else Verdict.HOLDS_ON_SAMPLE
+    m = len(sample)
+    P = p.matrix(sample, sample)
+    violations = 0
+    witnesses: list[TriangleWitness] = []
+    for rows in row_blocks(m, m * m):
+        # lhs[i, j, k] = p(x_i, z_k), rhs[i, j, k] = p(x_i, y_j) + p(y_j, z_k)
+        lhs = P[rows, None, :]
+        rhs = P[rows, :, None] + P[None, :, :]
+        bad = lhs > rhs + tol
+        count = int(np.count_nonzero(bad))
+        violations += count
+        if not count or len(witnesses) == 50:
+            continue
+        first = np.flatnonzero(bad)[: 50 - len(witnesses)]
+        for i, j, k in zip(*np.unravel_index(first, bad.shape)):
+            i += rows.start
+            witnesses.append(
+                TriangleWitness(
+                    sample[i], sample[j], sample[k], float(P[i, k]), float(P[i, j] + P[j, k])
+                )
+            )
+    verdict = Verdict.FAILS_WITH_WITNESS if violations else Verdict.HOLDS_ON_SAMPLE
     return AxiomReport(
         Axiom.W1_TRIANGLE,
         verdict,
-        witnesses,
-        detail={"triples": len(sample) ** 3, "violations": int(len(bad))},
-        sample_size=len(sample),
+        tuple(witnesses),
+        detail={"triples": m**3, "violations": violations},
+        sample_size=m,
     )
 
 
@@ -194,11 +251,12 @@ def check_rlsc(
         )
     window = max(1, int(len(seq) * tail_fraction))
     tail = seq[-window:]
-    tail_values = [p(anchor, x) for x in tail]
-    tail_min = min(tail_values)
+    tail_values = p.matrix([anchor], tail)[0]
+    worst_at = int(np.argmin(tail_values))
+    tail_min = float(tail_values[worst_at])
     at_limit = p(anchor, limit)
     ok = tail_min >= at_limit - tol
-    worst = tail[tail_values.index(tail_min)]
+    worst = tail[worst_at]
     return AxiomReport(
         Axiom.W2_RLSC,
         Verdict.HOLDS_ON_SAMPLE if ok else Verdict.FAILS_WITH_WITNESS,
@@ -249,8 +307,8 @@ def check_w3(
     if not eps_grid or any(e <= 0 for e in eps_grid):
         raise PreconditionError("eps grid must be positive")
 
-    P = _pair_matrix(p, sample)
-    D = _pair_matrix(lambda x, y: metric_eval(space, x, y), sample)
+    P = p.matrix(sample, sample)
+    D = WDistance.from_space(space).matrix(sample, sample)
     rows = []
     for eps in eps_grid:
         found = None

@@ -71,6 +71,13 @@ class TestVerifyExample:
         assert record["advisories"]
 
 
+    @pytest.mark.parametrize("step", ["nan", "1e-300"])
+    def test_bad_step_is_an_error(self, step, tmp_path, capsys):
+        args = ["verify-example", "Ex2_4", "--step", step, "--out", str(tmp_path / "bad")]
+        assert main(args) == STATUS_CHECK_FAILED
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestSolveCommand:
     def test_solve_writes_solution_and_report(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -82,6 +89,16 @@ class TestSolveCommand:
         lines = (out / "solution.csv").read_text().splitlines()
         assert lines[0] == "t,x"
         assert len(lines) == 34  # header plus 33 nodes
+
+    def test_limits_in_use_are_recorded(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "beta = 1.5\nk = 0.5\nL = 0.2\nf = constant\nf.c = 1.0\nn = 16\n"
+        )
+        out = tmp_path / "limits"
+        assert main(["solve-fbvp", "--config", str(cfg), "--out", str(out)]) == STATUS_OK
+        record = json.loads((out / "report.json").read_text())
+        assert record["limits"] == {"tol": 1e-8, "max_iter": 500}
+        assert "tol" not in record["config"] and "max_iter" not in record["config"]
 
     def test_constant_source_solves_in_two_iterations(self, tmp_path):
         cfg = write_config(

@@ -58,6 +58,13 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma_fn(-1.5)
 
+    def test_overflow_is_a_domain_error(self):
+        assert gamma_fn(171.0) == pytest.approx(math.factorial(170), rel=1e-12)
+        with pytest.raises(DomainError):
+            gamma_fn(200.0)
+        with pytest.raises(DomainError):
+            rl_integral_nodes(np.ones(9), 200.0, Grid(8))
+
 
 class TestRlIntegral:
     @pytest.mark.parametrize("beta", [1.1, 1.5, 2.0])

@@ -149,6 +149,16 @@ class TestSampling:
         with pytest.raises(SamplingError):
             sample_space(function_space(Grid(2)), count=0)
 
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_step_rejected(self, step):
+        with pytest.raises(SamplingError):
+            sample_space(interval_space(0.0, 2.0), step=step)
+
+    @pytest.mark.parametrize("step", [1e-300, 5e-324, 2.0 / 1_000_000])
+    def test_oversized_lattice_rejected_before_it_is_built(self, step):
+        with pytest.raises(SamplingError, match="more than 1000000 points"):
+            sample_space(interval_space(0.0, 2.0), step=step)
+
 
 @settings(max_examples=50, deadline=None)
 @given(

@@ -1,0 +1,189 @@
+"""Broadcast evaluation against the per-pair loop it replaces.
+
+Every check runs twice: once on the fixture objects, whose elementwise forms
+are broadcast over the sample, and once on copies with the array form
+dropped (and a space whose metric is passed explicitly), which takes the
+per-pair loop.  The two runs must agree exactly, exceptions included.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from relfix import (
+    DomainError,
+    GridFn,
+    OverallVerdict,
+    Relation,
+    SelfMap,
+    ShapeError,
+    WDistance,
+    certify_cauchy,
+    check_complete_on,
+    check_rlsc,
+    check_t_closed,
+    check_triangle,
+    check_w3,
+    check_weak_t_closed,
+    compare_classical,
+    estimate_lambda,
+    find_start_points,
+    function_space,
+    Grid,
+    iterate,
+    point_distance,
+    probe_uniqueness,
+    related_pairs,
+    sample_space,
+    scalar,
+    verify_theorem,
+)
+from relfix.fixtures import FIXTURES, product_shrink_fixture
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return ("returned", fn(*args, **kwargs))
+    except Exception as exc:  # compared, never swallowed: both runs must match
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def record_of(report):
+    return report.to_record()
+
+
+def battery(fx, sample):
+    """Every vectorised check on one fixture; returns {name: outcome}."""
+    rel, map_, space = fx.relation, fx.map, fx.space
+    p = fx.wdistance or WDistance.from_metric()
+    coarse = sample[:: max(1, len(sample) // 25)]
+    pairs = related_pairs(rel, sample)
+    # every related pair for the estimates, a strided share of them for the
+    # six metric evaluations per pair of the classical comparison
+    some_pairs = pairs[:: max(1, len(pairs) // 5000)]
+    seed = fx.orbit_seed or sample[0]
+    out = {
+        "t_closed": outcome(check_t_closed, rel, map_, sample),
+        "weak_t_closed": outcome(check_weak_t_closed, rel, map_, sample),
+        "start_points": outcome(find_start_points, rel, map_, sample),
+        "complete": outcome(check_complete_on, rel, sample),
+        "pairs": ("returned", pairs),
+        "pairs_capped": outcome(related_pairs, rel, sample, cap=37),
+        "estimate": outcome(estimate_lambda, map_, p, rel, pairs),
+        "estimate_diag": outcome(estimate_lambda, map_, p, rel, pairs, include_diagonal=True),
+        "classical": outcome(compare_classical, map_, space, rel, some_pairs),
+        "triangle": outcome(check_triangle, p, coarse),
+        "w3": outcome(check_w3, p, space, coarse, eps_grid=(0.5, 0.1)),
+        "theorem": outcome(
+            lambda: record_of(verify_theorem(map_, space, rel, p, sample, seed))
+        ),
+        "theorem_capped": outcome(
+            lambda: record_of(verify_theorem(map_, space, rel, p, sample, seed, pair_cap=41))
+        ),
+    }
+    if fx.value_p is not None:
+        out["value_triangle"] = outcome(check_triangle, fx.value_p, coarse)
+        seq = [scalar(1.0 - 1.0 / (n + 2)) for n in range(1, 41)]
+        out["rlsc"] = outcome(
+            check_rlsc, fx.value_p, scalar(0.0), rel, seq, scalar(1.0), conv_tol=0.05
+        )
+    orbit = iterate(map_, seed, p, 0.5, max_iter=40)
+    out["cauchy"] = outcome(certify_cauchy, orbit, p)
+    out["probe"] = outcome(
+        probe_uniqueness, rel, map_, p, 0.75, [orbit.final], sample, z_hint=fx.z_hint
+    )
+    return out
+
+
+def per_pair_copy(fx):
+    """The fixture with every array form dropped and the metric explicit."""
+    drop = {"array": None}
+    return dataclasses.replace(
+        fx,
+        relation=dataclasses.replace(fx.relation, **drop),
+        map=dataclasses.replace(fx.map, **drop),
+        wdistance=fx.wdistance and dataclasses.replace(fx.wdistance, **drop),
+        value_p=fx.value_p and dataclasses.replace(fx.value_p, **drop),
+        space=dataclasses.replace(fx.space, metric=point_distance),
+    )
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("key", sorted(FIXTURES))
+def test_broadcast_matches_per_pair_loop(key, refine):
+    fx = FIXTURES[key]()
+    reference = per_pair_copy(fx)
+    assert fx.relation.array is not None and reference.relation.array is None
+    sample = sample_space(fx.space, step=fx.default_step / refine)
+    broadcast = battery(fx, sample)
+    looped = battery(reference, sample)
+    assert broadcast.keys() == looped.keys()
+    for name in broadcast:
+        assert broadcast[name] == looped[name], name
+
+
+class TestEvaluationPaths:
+    def test_elementwise_relation_is_called_once_on_arrays(self):
+        seen = []
+
+        def below(x, y):
+            seen.append(type(x))
+            return x < y
+
+        rel = Relation.elementwise("below", below)
+        sample = [scalar(v) for v in (0.0, 1.0, 2.0)]
+        assert rel.matrix(sample, sample).tolist() == [
+            [False, True, True], [False, False, True], [False, False, False]
+        ]
+        assert seen == [np.ndarray]
+        assert rel(scalar(0.0), scalar(1.0)) and seen[-1] is float
+
+    def test_python_callables_take_the_loop(self):
+        table = {(0.0, 1.0): True}
+        rel = Relation.on_scalars("lookup", lambda x, y: table.get((x, y), False))
+        sample = [scalar(0.0), scalar(1.0)]
+        assert rel.matrix(sample, sample).tolist() == [[False, True], [False, False]]
+
+    def test_grid_samples_take_the_loop(self):
+        calls = []
+        rel = Relation.elementwise("never_on_grids", lambda x, y: calls.append(1) or True)
+        sample = sample_space(function_space(Grid(4)), count=2, seed=0)
+        assert all(isinstance(pt, GridFn) for pt in sample)
+        with pytest.raises(ShapeError):
+            rel.matrix(sample, sample)  # the scalar form rejects grid functions
+        assert calls == []
+
+    def test_elementwise_map_rejects_non_finite_images(self):
+        blow_up = SelfMap.elementwise("blow_up", lambda v: np.where(v > 1.0, np.inf, v))
+        sample = [scalar(v) for v in (0.5, 2.0)]
+        with pytest.raises(DomainError):
+            blow_up.apply_all(sample)
+        with pytest.raises(DomainError):
+            blow_up.apply(sample[1])
+
+    def test_invalid_pair_distance_raised_only_inside_the_mask(self):
+        signed = WDistance.elementwise("signed_gap", lambda x, y: y - x)
+        sample = [scalar(v) for v in (0.0, 1.0, 2.0)]
+        upper = np.triu(np.ones((3, 3), dtype=bool))
+        values = signed.matrix(sample, sample, where=upper)
+        assert np.isnan(values[1, 0]) and values[0, 2] == 2.0
+        with pytest.raises(DomainError, match="-1.0"):
+            signed.matrix(sample, sample)
+
+
+def test_theorem_on_fine_shrink_sample_in_bounded_memory():
+    fx = product_shrink_fixture()
+    sample = sample_space(fx.space, step=0.002)
+    assert len(sample) == 1001
+    tracemalloc.start()
+    try:
+        report = verify_theorem(fx.map, fx.space, fx.relation, fx.wdistance, sample, scalar(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.lambda_hat == 0.75
+    assert report.overall is OverallVerdict.ALL_VERIFIED_ON_SAMPLE
+    assert peak < 16 * 1024 * 1024, peak

@@ -1,5 +1,8 @@
 """Pair-distance axiom checkers."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,6 +54,28 @@ class TestTriangle:
         assert report.verdict is Verdict.FAILS_WITH_WITNESS
         w = report.witnesses[0]
         assert w.lhs > w.rhs
+
+    def test_blocked_scan_counts_every_violation_in_bounded_memory(self):
+        values = np.linspace(0.0, 2.0, 200)
+        squared = WDistance.elementwise("squared_gap", lambda x, y: (x - y) ** 2)
+        tracemalloc.start()
+        try:
+            report = check_triangle(squared, pts(*values))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # (x - z)^2 > (x - y)^2 + (y - z)^2 + tol, one middle point y at a time
+        sq = (values[:, None] - values[None, :]) ** 2
+        expected = sum(
+            int(np.count_nonzero(sq > sq[:, j, None] + sq[j, None, :] + 1e-12))
+            for j in range(values.size)
+        )
+        assert expected > 0
+        assert report.detail["violations"] == expected
+        assert len(report.witnesses) == 50
+        first = report.witnesses[0]
+        assert (first.x.value, first.y.value) == (values[0], values[1])
+        assert peak < 16 * 1024 * 1024, peak
 
     def test_builtin_distances_pass_on_fixture_samples(self):
         for fx, sample in (
