@@ -417,7 +417,12 @@ def build_problem(raw: dict) -> tuple[FbvpProblem, float, int]:
         )
     except RelfixError as exc:
         raise ConfigError(str(exc))
-    return problem, values.get("tol", 1e-8), values.get("max_iter", 500)
+    tol, max_iter = values.get("tol", 1e-8), values.get("max_iter", 500)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"field 'tol' must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ConfigError(f"field 'max_iter' must be at least 1, got {max_iter!r}")
+    return problem, tol, max_iter
 
 
 def _write_solution_csv(path: Path, grid: Grid, values: np.ndarray) -> None:

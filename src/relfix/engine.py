@@ -83,15 +83,10 @@ class SelfMap:
     array: Callable | None = field(default=None, repr=False, compare=False)
 
     def apply_all(self, points: Sequence[Point]) -> list[Point]:
-        """The image of every point, in order; each distinct point is mapped
-        once."""
+        """The image of every point, in order."""
         values = scalar_values(points) if self.array is not None else None
         if values is None:
-            images: dict[Point, Point] = {}
-            for pt in points:
-                if pt not in images:
-                    images[pt] = self.apply(pt)
-            return [images[pt] for pt in points]
+            return [self.apply(pt) for pt in points]
         with np.errstate(all="ignore"):
             images = np.broadcast_to(self.array(values), values.shape)
         return [ScalarPoint(v) for v in images.tolist()]
@@ -240,8 +235,8 @@ def iterate(
         raise PreconditionError("max_iter must be at least 1")
     if tol is None:
         tol = default_tolerance(x0)
-    if tol <= 0:
-        raise PreconditionError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise PreconditionError(f"tolerance must be finite and positive, got {tol!r}")
 
     points: list[Point] = [x0]
     d_gaps: list[float] = []

@@ -209,8 +209,8 @@ class FbvpProblem:
 
     def __post_init__(self) -> None:
         _check_orders(self.beta, self.k)
-        if self.L < 0.0:
-            raise DomainError(f"Lipschitz constant must be nonnegative, got {self.L!r}")
+        if not (math.isfinite(self.L) and self.L >= 0.0):
+            raise DomainError(f"Lipschitz constant must be finite and nonnegative, got {self.L!r}")
         for t in _F_SPOT_T:
             for xv in _F_SPOT_X:
                 fv = float(self.f(t, xv))

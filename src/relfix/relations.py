@@ -61,7 +61,7 @@ class Relation:
     """A decidable predicate over ordered point pairs.
 
     ``array``, when present, is the same predicate written with numpy
-    operations on scalar values; ``matrix`` and ``along`` broadcast it over
+    operations on scalar values; ``matrix`` and ``at`` broadcast it over
     all-scalar samples instead of calling ``holds`` once per pair.
     """
 
@@ -73,19 +73,15 @@ class Relation:
     def __call__(self, x: Point, y: Point) -> bool:
         return bool(self.holds(x, y))
 
-    def either_order(self, x: Point, y: Point) -> bool:
-        """Symmetric closure: (x, y) or (y, x) is related."""
-        return self(x, y) or self(y, x)
-
     def matrix(
         self, xs: Sequence[Point], ys: Sequence[Point], where: np.ndarray | None = None
     ) -> np.ndarray:
         """Bool array of ``self(xs[i], ys[j])``; False off the ``where`` mask."""
-        return evaluate_pairs(self, self.array, xs, ys, outer=True, fill=False, where=where)
+        return evaluate_pairs(self, self.array, xs, ys, fill=False, where=where)
 
-    def along(self, xs: Sequence[Point], ys: Sequence[Point]) -> np.ndarray:
-        """Bool array of ``self(xs[k], ys[k])`` over aligned pairs."""
-        return evaluate_pairs(self, self.array, xs, ys, outer=False, fill=False)
+    def at(self, xs: Sequence[Point], ys: Sequence[Point], i, j) -> np.ndarray:
+        """Bool array of ``self(xs[i[k]], ys[j[k]])`` over the index pairs."""
+        return evaluate_pairs(self, self.array, xs, ys, fill=False, at=(i, j))
 
     @staticmethod
     def elementwise(name: str, pred: Callable, note: str = "") -> "Relation":
@@ -141,7 +137,30 @@ def is_preserving(rel: Relation, seq: Sequence[Point]) -> bool:
     seq = list(seq)
     if len(seq) < 2:
         raise PreconditionError("a preserving check needs at least two points")
-    return bool(rel.along(seq[:-1], seq[1:]).all())
+    k = np.arange(len(seq))
+    return bool(rel.at(seq, seq, k[:-1], k[1:]).all())
+
+
+def preserving_tail(
+    rel: Relation, seq: Sequence[Point], limit: Point, tol: float, tail_fraction: float
+) -> tuple[list[Point], int]:
+    """``seq`` as a list and the length of its tail window, the last
+    ``tail_fraction`` of it; raises ``PreconditionError`` unless ``seq`` is a
+    ``rel``-preserving sequence of two or more entries ending within ``tol``
+    of ``limit``."""
+    if not 0.0 < tail_fraction <= 1.0:
+        raise PreconditionError(f"tail fraction must lie in (0, 1], got {tail_fraction!r}")
+    seq = list(seq)
+    if len(seq) < 2:
+        raise PreconditionError("need at least two sequence entries")
+    if not is_preserving(rel, seq):
+        raise PreconditionError(f"sequence is not {rel.name}-preserving")
+    gap = point_distance(seq[-1], limit)
+    if gap > tol:
+        raise PreconditionError(
+            f"sequence tail is {gap:.3e} from the limit, above tolerance {tol:.3e}"
+        )
+    return seq, max(1, int(len(seq) * tail_fraction))
 
 
 def _check_closed(
@@ -176,7 +195,8 @@ def find_start_points(rel: Relation, map_: "SelfMap", sample: Sequence[Point]) -
     sample = list(sample)
     if not sample:
         raise PreconditionError("empty sample")
-    starts = rel.along(sample, map_.apply_all(sample))
+    k = np.arange(len(sample))
+    starts = rel.at(sample, map_.apply_all(sample), k, k)
     return [x for x, ok in zip(sample, starts) if ok]
 
 
@@ -219,18 +239,8 @@ def witness_d_self_closed(
     The sequence must be preserving and its final entry must lie within
     ``tol`` of ``limit``; otherwise a ``PreconditionError`` is raised.
     """
-    seq = list(seq)
-    if len(seq) < 2:
-        raise PreconditionError("need at least two sequence entries")
-    if not is_preserving(rel, seq):
-        raise PreconditionError(f"sequence is not {rel.name}-preserving")
-    gap = point_distance(seq[-1], limit)
-    if gap > tol:
-        raise PreconditionError(
-            f"sequence tail is {gap:.3e} from the limit, above tolerance {tol:.3e}"
-        )
+    seq, window = preserving_tail(rel, seq, limit, tol, tail_fraction)
     related = rel.matrix(seq, [limit])[:, 0]
-    window = max(1, int(len(seq) * tail_fraction))
     tail_start = len(seq) - window
     if related[tail_start:].all():
         good = tuple(i for i, r in enumerate(related) if r)

@@ -317,38 +317,39 @@ def evaluate_pairs(
     xs: Sequence[Point],
     ys: Sequence[Point],
     *,
-    outer: bool,
     fill,
     where: np.ndarray | None = None,
+    at: tuple[Sequence[int], Sequence[int]] | None = None,
 ) -> np.ndarray:
-    """``fn(xs[i], ys[j])`` for every i, j (``outer``) or along aligned pairs
-    ``fn(xs[k], ys[k])``.  In the outer form, entries off the ``where`` mask
-    hold ``fill``, whose type is that of the result.
+    """``fn(xs[i], ys[j])`` for every i, j, or with ``at=(i, j)`` for each
+    index pair ``fn(xs[i[k]], ys[j[k]])``.  In the all-pairs form, entries
+    off the ``where`` mask hold ``fill``, whose type is that of the result.
 
     When ``array`` is given and every point is a ``ScalarPoint`` it is
     broadcast over the point values, a block of rows at a time; otherwise
     ``fn`` runs once per pair inside the mask, a row at a time.  This is the
     only place the two evaluation paths part.
     """
-    shape = (len(xs), len(ys)) if outer else (len(xs),)
-    if not outer and len(xs) != len(ys):
-        raise ShapeError(f"cannot align {len(xs)} points with {len(ys)}")
-    out = np.full(shape, fill)
+    if at is not None:
+        i, j = (np.asarray(k, dtype=np.intp) for k in at)
+        if i.shape != j.shape:
+            raise ShapeError(f"cannot align {len(i)} indices with {len(j)}")
+    out = np.full((len(xs), len(ys)) if at is None else i.shape, fill)
     vx = scalar_values(xs) if array is not None else None
-    vy = scalar_values(ys) if vx is not None else None
+    vy = vx if ys is xs else scalar_values(ys) if vx is not None else None
     if vy is not None:
-        blocks = row_blocks(len(xs), len(ys)) if outer else [slice(None)]
+        blocks = row_blocks(len(xs), len(ys)) if at is None else [slice(None)]
         with np.errstate(all="ignore"):
             for rows in blocks:
-                a, b = (vx[rows, None], vy[None, :]) if outer else (vx, vy)
+                a, b = (vx[rows, None], vy[None, :]) if at is None else (vx[i], vy[j])
                 value = np.broadcast_to(array(a, b), out[rows].shape)
                 if where is None:
                     out[rows] = value
                 else:
                     np.copyto(out[rows], value, casting="unsafe", where=where[rows])
         return out
-    if not outer:
-        out[:] = [fn(x, y) for x, y in zip(xs, ys)]
+    if at is not None:
+        out[:] = [fn(xs[a], ys[b]) for a, b in zip(i.tolist(), j.tolist())]
         return out
     for i, x in enumerate(xs):
         cols = range(len(ys)) if where is None else np.flatnonzero(where[i]).tolist()

@@ -196,15 +196,21 @@ class _WorstRatio:
         )
 
 
-def _unzip(
+def _index_pairs(
     rel: Relation, pairs: Sequence[tuple[Point, Point]]
-) -> tuple[list[Point], list[Point]]:
-    """First and second points of the pairs, all of which must be related."""
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
-    if not rel.along(xs, ys).all():
+) -> tuple[list[Point], np.ndarray, np.ndarray]:
+    """The pairs' distinct points in order of first appearance, and index
+    arrays with ``pairs[k] == (points[i[k]], points[j[k]])``; all related."""
+    index: dict[Point, int] = {}
+    i, j = [], []
+    for x, y in pairs:
+        i.append(index.setdefault(x, len(index)))
+        j.append(index.setdefault(y, len(index)))
+    points = list(index)
+    i, j = np.array(i, dtype=np.intp), np.array(j, dtype=np.intp)
+    if not rel.at(points, points, i, j).all():
         raise PreconditionError(f"pair is not related under {rel.name}")
-    return xs, ys
+    return points, i, j
 
 
 def related_pairs(
@@ -212,6 +218,8 @@ def related_pairs(
 ) -> list[tuple[Point, Point]]:
     """All related ordered pairs from sample x sample, deterministically
     strided down when the count exceeds ``cap``."""
+    if cap < 1:
+        raise PreconditionError(f"pair cap must be at least 1, got {cap!r}")
     sample = list(sample)
     flat = np.flatnonzero(rel.matrix(sample, sample))
     if flat.size > cap:
@@ -228,20 +236,19 @@ def estimate_lambda(
     include_diagonal: bool = False,
 ) -> ContractionEstimate:
     """Worst-case contraction ratio over the supplied related pairs."""
-    pairs = list(pairs)
-    if not pairs:
+    points, i, j = _index_pairs(rel, pairs)
+    if not i.size:
         raise EstimationError("cannot estimate a contraction factor from an empty pair set")
-    xs, ys = _unzip(rel, pairs)
-    diagonal = _SAME_POINT.along(xs, ys)
-    kept = np.flatnonzero(np.ones_like(diagonal) if include_diagonal else ~diagonal)
-    xs = [xs[k] for k in kept]
-    ys = [ys[k] for k in kept]
+    diagonal = _SAME_POINT.at(points, points, i, j)
+    if not include_diagonal:
+        i, j, diagonal = i[~diagonal], j[~diagonal], diagonal[~diagonal]
+    images = map_.apply_all(points)
     worst = _WorstRatio(include_diagonal)
     worst.add(
-        lambda k: (xs[k], ys[k]),
-        p.along(xs, ys),
-        p.along(map_.apply_all(xs), map_.apply_all(ys)),
-        diagonal[kept],
+        lambda k: (points[i[k]], points[j[k]]),
+        p.at(points, points, i, j),
+        p.at(images, images, i, j),
+        diagonal,
     )
     return worst.estimate()
 
@@ -259,18 +266,19 @@ def compare_classical(
     when d(Tx, Ty) >= M(x, y), which rules out every comparison function
     that is strictly below the identity.
     """
-    xs, ys = _unzip(rel, list(pairs))
-    tx, ty = map_.apply_all(xs), map_.apply_all(ys)
+    points, i, j = _index_pairs(rel, pairs)
+    images = map_.apply_all(points)
     d = WDistance.from_space(space)
-    d_image = d.along(tx, ty)
-    d_pair = d.along(xs, ys)
+    d_image = d.at(images, images, i, j)
+    d_pair = d.at(points, points, i, j)
+    d_cross = 0.5 * (d.at(points, images, i, j) + d.at(points, images, j, i))
     displacement = np.maximum.reduce(
-        [d_pair, d.along(xs, tx), d.along(ys, ty), 0.5 * (d.along(xs, ty) + d.along(ys, tx))]
+        [d_pair, d.at(points, images, i, i), d.at(points, images, j, j), d_cross]
     )
     rows = tuple(
-        PairComparison(x, y, di, dp, m)
-        for x, y, di, dp, m in zip(
-            xs, ys, d_image.tolist(), d_pair.tolist(), displacement.tolist()
+        PairComparison(points[a], points[b], di, dp, m)
+        for a, b, di, dp, m in zip(
+            i.tolist(), j.tolist(), d_image.tolist(), d_pair.tolist(), displacement.tolist()
         )
     )
     moved = d_image > 0.0
@@ -347,6 +355,8 @@ def verify_theorem(
     sample = list(sample)
     if not sample:
         raise PreconditionError("empty sample")
+    if pair_cap < 1:
+        raise PreconditionError(f"pair cap must be at least 1, got {pair_cap!r}")
     if not rel(orbit_seed, map_.apply(orbit_seed)):
         raise PreconditionError("orbit seed is not a start point: (x0, Tx0) unrelated")
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .relations import Relation, Verdict, is_preserving
+from .relations import Relation, Verdict, preserving_tail
 from .spaces import (
     Interval,
     MetricSpace,
@@ -61,7 +61,7 @@ class WDistance:
     """Named nonnegative pair function; evaluations are validated lazily.
 
     ``array``, when present, is the same function written with numpy
-    operations on scalar values; ``matrix`` and ``along`` broadcast it over
+    operations on scalar values; ``matrix`` and ``at`` broadcast it over
     all-scalar samples instead of calling ``p`` once per pair.
     """
 
@@ -80,14 +80,12 @@ class WDistance:
     ) -> np.ndarray:
         """Float array of ``self(xs[i], ys[j])``, NaN off the ``where`` mask;
         every value inside the mask is validated."""
-        values = evaluate_pairs(
-            self, self.array, xs, ys, outer=True, fill=np.nan, where=where
-        )
+        values = evaluate_pairs(self, self.array, xs, ys, fill=np.nan, where=where)
         return self._validated(values, where)
 
-    def along(self, xs: Sequence[Point], ys: Sequence[Point]) -> np.ndarray:
-        """Float array of ``self(xs[k], ys[k])`` over aligned pairs."""
-        values = evaluate_pairs(self, self.array, xs, ys, outer=False, fill=np.nan)
+    def at(self, xs: Sequence[Point], ys: Sequence[Point], i, j) -> np.ndarray:
+        """Float array of ``self(xs[i[k]], ys[j[k]])`` over the index pairs."""
+        values = evaluate_pairs(self, self.array, xs, ys, fill=np.nan, at=(i, j))
         return self._validated(values, None)
 
     def _validated(self, values: np.ndarray, where: np.ndarray | None) -> np.ndarray:
@@ -239,17 +237,7 @@ def check_rlsc(
     The sequence must be preserving (use the universal relation for a plain,
     relation-free check) and must converge to ``limit`` within ``conv_tol``.
     """
-    seq = list(seq)
-    if len(seq) < 2:
-        raise PreconditionError("need at least two sequence entries")
-    if not is_preserving(rel, seq):
-        raise PreconditionError(f"sequence is not {rel.name}-preserving")
-    gap = point_distance(seq[-1], limit)
-    if gap > conv_tol:
-        raise PreconditionError(
-            f"sequence tail is {gap:.3e} from the limit, above tolerance {conv_tol:.3e}"
-        )
-    window = max(1, int(len(seq) * tail_fraction))
+    seq, window = preserving_tail(rel, seq, limit, conv_tol, tail_fraction)
     tail = seq[-window:]
     tail_values = p.matrix([anchor], tail)[0]
     worst_at = int(np.argmin(tail_values))

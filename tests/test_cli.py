@@ -1,6 +1,7 @@
 """Command-line front end: batteries, config handling, artifacts."""
 
 import json
+import warnings
 
 import pytest
 
@@ -123,6 +124,36 @@ class TestSolveCommand:
         record = json.loads((out / "report.json").read_text())
         assert record["advisories"]
         assert status == STATUS_OK  # it happens to converge; the bound is advisory
+
+    def test_divergent_solve_writes_report_and_partial_orbit(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "beta = 1.5\nk = 0.5\nL = 20\nf = affine\nf.a = 20\nn = 64\n"
+        )
+        out = tmp_path / "diverged"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            status = main(["solve-fbvp", "--config", str(cfg), "--out", str(out)])
+        assert status == STATUS_CHECK_FAILED
+        record = json.loads((out / "report.json").read_text())
+        assert record["solution"] is None
+        converged = record["checks"]["converged"]
+        assert converged["pass"] is False
+        assert "divergence threshold" in converged["error"]
+        assert record["summary"]["failed"] == ["converged"]
+        lines = (out / "orbit.csv").read_text().splitlines()
+        assert lines[0] == "n,point_or_norm,d_gap,p_gap,bound" and len(lines) > 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("L", "nan"), ("L", "inf"), ("tol", "-1"), ("max_iter", "0"), ("tol", "nan")],
+    )
+    def test_out_of_range_value_is_usage_error(self, field, value, tmp_path, capsys):
+        kept = [line for line in GOOD_CONFIG.splitlines() if not line.startswith(f"{field} =")]
+        cfg = write_config(tmp_path, "\n".join(kept + [f"{field} = {value}"]) + "\n")
+        out = tmp_path / "out"
+        assert main(["solve-fbvp", "--config", str(cfg), "--out", str(out)]) == STATUS_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "report.json").exists()
 
     def test_missing_field_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, "beta = 1.5\nk = 0.5\nL = 0.2\nf = sine_mix\n")

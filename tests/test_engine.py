@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from relfix import (
     DivergenceError,
     DomainError,
+    Grid,
     PreconditionError,
     SelfMap,
+    ShapeError,
     StopReason,
     UniquenessVerdict,
     WDistance,
@@ -18,6 +20,7 @@ from relfix import (
     certify_cauchy,
     certify_fixed_point,
     certify_limit_uniqueness,
+    function_space,
     iterate,
     point_distance,
     probe_uniqueness,
@@ -59,6 +62,11 @@ class TestIterate:
         assert trace is not None
         assert trace.stop_reason is StopReason.DIVERGED
         assert all(math.isfinite(p.value) for p in trace.points)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(PreconditionError, match="tolerance"):
+            iterate(SHRINK.map, scalar(2.0), SHRINK.wdistance, 0.75, max_iter=10, tol=tol)
 
     def test_max_iter_stop(self):
         slow = SelfMap.on_scalars("slow", lambda v: v * 0.99)
@@ -189,6 +197,24 @@ class TestUniquenessProbe:
         )
         assert result.verdict is UniquenessVerdict.UNIQUE_BY_CONDITION_2
 
+    def test_equal_candidates_unique_by_completeness(self):
+        sample = sample_space(HALVING.space, step=0.1)
+        result = probe_uniqueness(
+            HALVING.relation, HALVING.map, HALVING.wdistance, 0.9,
+            [scalar(2.0), scalar(2.0)], sample,
+        )
+        assert result.verdict is UniquenessVerdict.UNIQUE_BY_CONDITION_2
+
+    def test_identity_fails_contraction_on_candidate_pair(self):
+        # every point is fixed, so the related pair (1, 0) keeps its distance
+        sample = sample_space(HALVING.space, step=0.1)
+        result = probe_uniqueness(
+            HALVING.relation, SelfMap.identity(), HALVING.wdistance, 0.9,
+            [scalar(0.0), scalar(1.0)], sample,
+        )
+        assert result.verdict is UniquenessVerdict.PROBE_FAILED
+        assert "contraction fails on a candidate pair" in result.notes
+
     def test_no_candidates_rejected(self):
         with pytest.raises(PreconditionError):
             probe_uniqueness(
@@ -214,6 +240,21 @@ class TestUniquenessProbe:
             [scalar(0.5), scalar(1.0)],
         )
         assert result.verdict is UniquenessVerdict.PROBE_FAILED
+
+
+class TestSelfMapForms:
+    def test_grid_map_through_apply_and_apply_all(self):
+        grid = Grid(4)
+        double = SelfMap.on_grids("double", lambda v: 2.0 * v)
+        sample = sample_space(function_space(grid), count=2, seed=0)
+        images = double.apply_all(sample)
+        assert len(images) == len(sample)
+        for pt, image in zip(sample, images):
+            assert image.grid == grid
+            assert np.array_equal(image.values, 2.0 * pt.values)
+        assert np.array_equal(double.apply(sample[1]).values, images[1].values)
+        with pytest.raises(ShapeError):
+            double.apply(scalar(1.0))
 
 
 class TestOrbitProperties:

@@ -291,6 +291,11 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             FbvpProblem(beta=1.5, k=0.5, L=0.1, f=affine_source(2.0), grid=Grid(8))
 
+    @pytest.mark.parametrize("L", [math.nan, math.inf])
+    def test_non_finite_lipschitz_constant_rejected(self, L):
+        with pytest.raises(DomainError, match="finite"):
+            FbvpProblem(beta=1.5, k=0.5, L=L, f=constant_source(1.0), grid=Grid(8))
+
     def test_k_snap_reported(self):
         problem = FbvpProblem(beta=1.5, k=0.33, L=0.0, f=constant_source(1.0), grid=Grid(8))
         assert problem.k_used == 0.375

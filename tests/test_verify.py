@@ -97,6 +97,12 @@ class TestEstimateLambda:
         assert capped_a == capped_b
         assert set(id(x) for x, _ in capped_a) <= set(id(x) for x, _ in full)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_pair_cap_below_one_rejected(self, cap):
+        sample = sample_space(SHRINK.space, step=0.5)
+        with pytest.raises(PreconditionError, match="pair cap"):
+            related_pairs(SHRINK.relation, sample, cap=cap)
+
     def test_max_property_bounds_every_checked_pair(self):
         sample = sample_space(SHRINK.space, step=0.05)
         pairs = related_pairs(SHRINK.relation, sample)
@@ -148,6 +154,28 @@ class TestCompareClassical:
         assert est.lambda_hat < 1.0
 
 
+class TestDistinctPoints:
+    def test_map_applied_once_per_distinct_point(self):
+        calls = []
+
+        def capped_halving(v):
+            calls.append(v)
+            return v / 2.0 if v < 2.0 else 2.0
+
+        counted = SelfMap.on_scalars("capped_halving", capped_halving)
+        pairs = related_pairs(HALVING.relation, [scalar(v) for v in (1.0, 1.5, 2.0, 2.5)])
+        assert len(pairs) == 10
+        est = estimate_lambda(counted, HALVING.wdistance, HALVING.relation, pairs)
+        assert sorted(calls) == [1.0, 1.5, 2.0, 2.5]
+        assert est == estimate_lambda(HALVING.map, HALVING.wdistance, HALVING.relation, pairs)
+        calls.clear()
+        comparison = compare_classical(counted, HALVING.space, HALVING.relation, pairs)
+        assert sorted(calls) == [1.0, 1.5, 2.0, 2.5]
+        assert comparison == compare_classical(
+            HALVING.map, HALVING.space, HALVING.relation, pairs
+        )
+
+
 class TestVerifyTheorem:
     def test_shrink_all_verified(self):
         sample = sample_space(SHRINK.space, step=0.01)
@@ -181,6 +209,14 @@ class TestVerifyTheorem:
         )
         assert report.overall is OverallVerdict.ALL_VERIFIED_ON_SAMPLE
         assert report.lambda_hat < problem.L * 1.47
+
+    def test_pair_cap_below_one_rejected(self):
+        sample = sample_space(SHRINK.space, step=0.5)
+        with pytest.raises(PreconditionError, match="pair cap"):
+            verify_theorem(
+                SHRINK.map, SHRINK.space, SHRINK.relation, SHRINK.wdistance, sample,
+                scalar(1.0), pair_cap=0,
+            )
 
     def test_seed_outside_start_set_rejected(self):
         with pytest.raises(PreconditionError):

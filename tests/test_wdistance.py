@@ -128,6 +128,15 @@ class TestRelationLsc:
         assert report.ok
         assert report.detail["tail_min"] == report.detail["at_limit"]
 
+    @pytest.mark.parametrize("fraction", [1.5, 0.0])
+    def test_tail_fraction_outside_unit_interval_rejected(self, fraction):
+        seq = pts(*([1.0] * 11))
+        rel = universal_relation()
+        whole = check_rlsc(METRIC, scalar(0.0), rel, seq, scalar(1.0), tail_fraction=1.0)
+        assert whole.detail["tail_window"] == 11
+        with pytest.raises(PreconditionError, match="tail fraction"):
+            check_rlsc(METRIC, scalar(0.0), rel, seq, scalar(1.0), tail_fraction=fraction)
+
     def test_nonconvergent_sequence_rejected(self):
         seq = pts(1, 1, 1)
         with pytest.raises(PreconditionError):
