@@ -9,7 +9,6 @@ the report passed; advisory findings are recorded but never affect status.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import UniquenessVerdict, certify_cauchy, iterate, probe_uniqueness
+from .engine import CSV_BLOCK_ROWS, UniquenessVerdict, certify_cauchy, iterate, probe_uniqueness
 from .errors import ConfigError, DivergenceError, PreconditionError, RelfixError
 from .fixtures import FIXTURES, F_REGISTRY, Fixture
 from .fractional import FbvpProblem, OperatorVariant, solve_fbvp
@@ -427,10 +426,11 @@ def build_problem(raw: dict) -> tuple[FbvpProblem, float, int]:
 
 def _write_solution_csv(path: Path, grid: Grid, values: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x"])
-        for t, v in zip(grid.nodes, values):
-            writer.writerow([repr(float(t)), repr(float(v))])
+        fh.write("t,x\r\n")
+        for s in range(0, grid.n + 1, CSV_BLOCK_ROWS):
+            block = slice(s, s + CSV_BLOCK_ROWS)
+            rows = zip(grid.nodes[block].tolist(), values[block].tolist())
+            fh.write("".join(f"{t!r},{v!r}\r\n" for t, v in rows))
 
 
 def run_solve_fbvp(config_path: Path, out_dir: Path) -> int:

@@ -11,7 +11,6 @@ or an estimate from sampling; the engine never invents one.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -35,6 +34,10 @@ from .spaces import (
     scalar_values,
 )
 from .wdistance import WDistance
+
+# Rows formatted and written at a time by the CSV writers, so that a long
+# file is never held whole as one string.
+CSV_BLOCK_ROWS = 256
 
 __all__ = [
     "StopReason",
@@ -140,18 +143,17 @@ class OrbitTrace:
 
     def to_csv(self, path) -> None:
         """Write rows of (n, point value or sup norm, d_gap, p_gap, bound)."""
+        sizes = [pt.value if isinstance(pt, ScalarPoint) else pt.sup_norm for pt in self.points]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "point_or_norm", "d_gap", "p_gap", "bound"])
-            for n, pt in enumerate(self.points):
-                size = pt.value if isinstance(pt, ScalarPoint) else pt.sup_norm
-                if n < self.steps:
-                    writer.writerow(
-                        [n, repr(size), repr(float(self.d_gaps[n])),
-                         repr(float(self.p_gaps[n])), repr(float(self.bound[n]))]
-                    )
-                else:
-                    writer.writerow([n, repr(size), "", "", ""])
+            fh.write("n,point_or_norm,d_gap,p_gap,bound\r\n")
+            for s in range(0, self.steps, CSV_BLOCK_ROWS):
+                block = slice(s, s + CSV_BLOCK_ROWS)
+                rows = zip(
+                    range(s, s + CSV_BLOCK_ROWS), sizes[block], self.d_gaps[block].tolist(),
+                    self.p_gaps[block].tolist(), self.bound[block].tolist(),
+                )
+                fh.write("".join(f"{n},{x!r},{d!r},{p!r},{b!r}\r\n" for n, x, d, p, b in rows))
+            fh.write(f"{self.steps},{sizes[-1]!r},,,\r\n")
 
     def to_record(self) -> dict:
         return {

@@ -11,8 +11,19 @@ below 2.
 On a uniform grid a cell's two weights depend only on its lag behind the
 evaluation node, so each order needs one lag vector of n + 1 weights, plus
 a correction at node 0.  All nodes at once are a convolution of the node
-values with that vector; a single node is one dot product.  Memory is O(n)
-and the weights are rebuilt on every call; nothing is cached.
+values with that vector; a single node is one dot product.  Memory is O(n).
+
+``rl_integral_nodes`` and ``rl_integral`` build their weights on each call
+and convolve directly: they are the componentwise reference, accurate to
+rounding at every node.  The boundary-value operator instead plans its
+weights once per problem (``FbvpProblem.operator_weights``, freed with the
+problem): the spectrum of the order-beta lag vector at a 2-3-5-smooth FFT
+length of at least 2n + 1, the node-0 correction and the order-(beta + 1)
+boundary row.  Each Picard step is then one real FFT convolution plus one
+O(kn) dot product.  The FFT result is accurate in the sup norm (relative
+to the largest value), not node by node: near t = 0, where the integral is
+tiny, its relative error grows with n and beta, which is why the reference
+functions stay direct.
 
 The boundary term couples the solution to a double integral over [0, k].
 Swapping the integration order turns it into a single product integration at
@@ -32,9 +43,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from .engine import OrbitTrace, SelfMap, iterate
 from .errors import ContractionWarning, DomainError, PreconditionError, ShapeError
@@ -91,10 +104,20 @@ def _lag_weights(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return kernel, right
 
 
-def _rl_at(values: np.ndarray, beta: float, n: int, i: int) -> float:
-    """Fractional integral of order beta at node i alone, in O(n)."""
-    kernel, right = _lag_weights(beta, n)
-    return float(kernel[i::-1] @ values[: i + 1] - right[i] * values[0])
+def _fft_length(size: int) -> int:
+    """Smallest integer >= size whose only prime factors are 2, 3 and 5."""
+    best = 1 << (size - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < size:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def rl_integral_nodes(values: np.ndarray, beta: float, grid: Grid) -> np.ndarray:
@@ -116,7 +139,9 @@ def rl_integral(values: GridFn, beta: float, t_index: int) -> float:
         raise DomainError(f"node index {t_index} outside 0..{n}")
     if beta <= 0.0:
         raise DomainError(f"integral order must be positive, got {beta!r}")
-    return _rl_at(values.values, float(beta), n, t_index)
+    kernel, right = _lag_weights(float(beta), n)
+    v, i = values.values, t_index
+    return float(kernel[i::-1] @ v[: i + 1] - right[i] * v[0])
 
 
 def _second_differences(v: np.ndarray, h: float) -> np.ndarray:
@@ -190,6 +215,20 @@ _F_SPOT_T = (0.0, 0.5, 1.0)
 _F_SPOT_X = (0.0, 0.5, 1.0, 2.0)
 
 
+class OperatorWeights(NamedTuple):
+    """Weights of one problem's integral operator.
+
+    ``spectrum`` is the real FFT, at ``length`` points, of the order-beta lag
+    vector; ``right`` is that order's node-0 correction; ``boundary`` weighs
+    nodes 0 .. k_index into the order-(beta + 1) integral at the k node.
+    """
+
+    length: int
+    spectrum: np.ndarray
+    right: np.ndarray
+    boundary: np.ndarray
+
+
 @dataclass(frozen=True)
 class FbvpProblem:
     """Integral-operator form of the order-beta boundary-value problem.
@@ -223,6 +262,20 @@ class FbvpProblem:
                         f"f violates the declared Lipschitz bound at t = {t}: "
                         f"|f({t},{xa}) - f({t},{xb})| = {gap:.3e} > L |dx|"
                     )
+
+    @cached_property
+    def operator_weights(self) -> OperatorWeights:
+        """The operator's weights, built on first use and kept with the problem."""
+        n, k = self.grid.n, self.k_index
+        length = _fft_length(2 * n + 1)
+        kernel, right = _lag_weights(self.beta, n)
+        spectrum = rfft(kernel, length)
+        kernel_up, right_up = _lag_weights(self.beta + 1.0, n)
+        boundary = kernel_up[k::-1].copy()
+        boundary[0] -= right_up[k]
+        for a in (spectrum, right, boundary):
+            a.setflags(write=False)
+        return OperatorWeights(length, spectrum, right, boundary)
 
     @property
     def k_index(self) -> int:
@@ -260,12 +313,14 @@ def apply_operator(problem: FbvpProblem, x: GridFn) -> GridFn:
     fv = np.asarray(problem.f(t, x.values), dtype=float)
     if fv.shape != t.shape:
         raise ShapeError(f"f returned shape {fv.shape}, expected {t.shape}")
-    beta = problem.beta
-    main = rl_integral_nodes(fv, beta, grid)
+    length, spectrum, right, boundary = problem.operator_weights
+    main = irfft(rfft(fv, length) * spectrum, length)[: grid.n + 1]
+    main -= right * fv[0]
+    main[0] = 0.0  # the integral over [0, 0]
     at_one = main[-1]
     # Order-swapped double integral: a single product integration at order
     # beta + 1, evaluated at the snapped k node.
-    double = _rl_at(fv, beta + 1.0, grid.n, problem.k_index)
+    double = float(boundary @ fv[: boundary.size])
     k_used = problem.k_used
     coupling = (2.0 * t / (2.0 + k_used * k_used)) * (at_one + double)
     if problem.variant is OperatorVariant.PAPER_EXACT:

@@ -40,12 +40,16 @@ __all__ = [
     "metric_eval",
     "sample_space",
     "MAX_SAMPLE_POINTS",
+    "MAX_GRID_N",
     "scalar_values",
     "row_blocks",
     "evaluate_pairs",
 ]
 
 MAX_SAMPLE_POINTS = 1_000_000
+
+# Largest grid subinterval count: a grid function then takes 8 MB.
+MAX_GRID_N = 2**20
 
 # Elements per block when a pair array is built a few rows at a time.
 BLOCK_ELEMENTS = 1 << 14
@@ -61,6 +65,8 @@ class Grid:
         n = self.n
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise DomainError(f"grid needs a positive integer subinterval count, got {n!r}")
+        if n > MAX_GRID_N:
+            raise DomainError(f"grid subinterval count {n} exceeds the limit {MAX_GRID_N}")
         object.__setattr__(self, "n", int(n))
 
     @property

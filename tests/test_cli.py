@@ -1,18 +1,23 @@
 """Command-line front end: batteries, config handling, artifacts."""
 
+import csv
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from relfix.cli import (
     STATUS_CHECK_FAILED,
     STATUS_OK,
     STATUS_USAGE,
+    _write_solution_csv,
     main,
     parse_config,
 )
+from relfix.engine import OrbitTrace, StopReason
 from relfix.errors import ConfigError
+from relfix.spaces import Grid, grid_fn, scalar
 
 
 GOOD_CONFIG = """
@@ -145,7 +150,8 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("L", "nan"), ("L", "inf"), ("tol", "-1"), ("max_iter", "0"), ("tol", "nan")],
+        [("L", "nan"), ("L", "inf"), ("tol", "-1"), ("max_iter", "0"), ("tol", "nan"),
+         ("n", "1048577"), ("n", "1000000000000")],
     )
     def test_out_of_range_value_is_usage_error(self, field, value, tmp_path, capsys):
         kept = [line for line in GOOD_CONFIG.splitlines() if not line.startswith(f"{field} =")]
@@ -208,3 +214,47 @@ class TestReportCommand:
 
     def test_missing_report_is_usage_error(self, tmp_path):
         assert main(["report", "--in", str(tmp_path)]) == STATUS_USAGE
+
+
+class TestCsvWriters:
+    """The block writers against the row-at-a-time ``csv.writer`` form."""
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 600])
+    def test_solution_csv_matches_csv_module(self, n, tmp_path):
+        grid = Grid(n)
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=n + 1) * 10.0 ** rng.integers(-300, 300, n + 1)
+        values[0] = -0.0
+        _write_solution_csv(tmp_path / "got.csv", grid, values)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "x"])
+            for t, v in zip(grid.nodes, values):
+                writer.writerow([repr(float(t)), repr(float(v))])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("steps", [0, 1, 256, 300])
+    @pytest.mark.parametrize("grid_points", [False, True])
+    def test_orbit_csv_matches_csv_module(self, steps, grid_points, tmp_path):
+        rng = np.random.default_rng(steps)
+        if grid_points:
+            points = tuple(grid_fn(Grid(4), rng.normal(size=5)) for _ in range(steps + 1))
+        else:
+            points = tuple(scalar(v) for v in rng.normal(size=steps + 1))
+        gaps = rng.exponential(size=(3, steps))
+        gaps[2, ::7] = np.inf  # bounds are infinite when lambda is not below 1
+        trace = OrbitTrace(points, gaps[0], gaps[1], gaps[2], 0.5, StopReason.MAX_ITER)
+        trace.to_csv(tmp_path / "got.csv")
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "point_or_norm", "d_gap", "p_gap", "bound"])
+            for n, pt in enumerate(points):
+                size = pt.sup_norm if grid_points else pt.value
+                if n < steps:
+                    writer.writerow(
+                        [n, repr(size), repr(float(trace.d_gaps[n])),
+                         repr(float(trace.p_gaps[n])), repr(float(trace.bound[n]))]
+                    )
+                else:
+                    writer.writerow([n, repr(size), "", "", ""])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from relfix import fractional
 from relfix import (
     ContractionWarning,
     DomainError,
@@ -143,6 +144,89 @@ class TestLagWeights:
         tracemalloc.start()
         try:
             rl_integral_nodes(values, 1.5, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
+
+
+def direct_operator_terms(problem, x):
+    """The operator's two terms by direct convolution: ``rl_integral_nodes``
+    for the order-beta integral, ``rl_integral`` at order beta + 1 for the
+    boundary term, and the signed coupling."""
+    g = problem.grid
+    fv = np.asarray(problem.f(g.nodes, x.values), dtype=float)
+    main = rl_integral_nodes(fv, problem.beta, g)
+    double = rl_integral(grid_fn(g, fv), problem.beta + 1.0, problem.k_index)
+    k = problem.k_used
+    coupling = 2.0 * g.nodes / (2.0 + k * k) * (main[-1] + double)
+    sign = 1.0 if problem.variant is OperatorVariant.PAPER_EXACT else -1.0
+    return main, sign * coupling
+
+
+class TestFftOperator:
+    def test_fft_length_is_smallest_smooth_length(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        assert fractional._fft_length(4097) == 4320  # 2n + 1 at n = 2048
+        for size in range(1, 2000):
+            length = fractional._fft_length(size)
+            assert length >= size and smooth(length)
+            assert not any(smooth(m) for m in range(size, length))
+
+    @pytest.mark.parametrize("variant", list(OperatorVariant))
+    @pytest.mark.parametrize("beta", [1.2, 1.5, 2.0])
+    @pytest.mark.parametrize("n", [8, 64, 1024, 4096])
+    @pytest.mark.parametrize("k", [0.5, 0.33])  # 0.33 is off every grid here
+    def test_agrees_with_direct_form(self, variant, beta, n, k):
+        problem = FbvpProblem(beta, k, 0.2, sine_mix_source(0.2), Grid(n), variant)
+        x = grid_fn(problem.grid, np.random.default_rng(n).uniform(0.0, 2.0, n + 1))
+        got = apply_operator(problem, x).values
+        main, coupling = direct_operator_terms(problem, x)
+        # The scale is that of the terms: green_corrected subtracts them, and
+        # its output can be twenty times smaller than either.
+        scale = np.max(np.abs(main) + np.abs(coupling))
+        assert np.max(np.abs(got - (main + coupling))) <= 1e-14 * scale
+        assert got[0] == 0.0
+
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    @pytest.mark.parametrize("k", [0.5, 0.33])
+    def test_paper_exact_nonnegative_for_source_vanishing_early(self, n, k):
+        # the order-beta integral is exactly 0 on [0, 1/2]; FFT rounding
+        # there must not turn the output negative
+        def late_source(t, x):
+            return np.maximum(np.asarray(t, dtype=float) - 0.5, 0.0) * (1.0 + 0.1 * np.tanh(x))
+
+        problem = FbvpProblem(1.5, k, 0.05, late_source, Grid(n))
+        for x in (zero_grid_fn(problem.grid), grid_fn(problem.grid, np.linspace(0.0, 2.0, n + 1))):
+            out = apply_operator(problem, x).values
+            assert out[0] == 0.0
+            assert np.all(out >= 0.0)
+
+    def test_weights_built_independently_of_step_count(self, monkeypatch):
+        calls = []
+        build = fractional._lag_weights
+        monkeypatch.setattr(
+            fractional, "_lag_weights", lambda beta, n: calls.append(beta) or build(beta, n)
+        )
+        counts = {}
+        for tol in (1e-3, 1e-13):
+            calls.clear()
+            problem = FbvpProblem(1.5, 0.5, 0.2, sine_mix_source(0.2), Grid(64))
+            steps = solve_fbvp(problem, tol=tol).iterations
+            counts[steps] = len(calls)
+        assert len(counts) == 2, "the two tolerances should take different step counts"
+        assert len(set(counts.values())) == 1
+
+    def test_solve_memory_stays_linear_in_n(self):
+        problem = FbvpProblem(1.5, 0.5, 0.2, sine_mix_source(0.2), Grid(4096))
+        tracemalloc.start()
+        try:
+            solve_fbvp(problem, tol=1e-13)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

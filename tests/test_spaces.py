@@ -18,6 +18,7 @@ from relfix import (
     scalar,
     zero_grid_fn,
 )
+from relfix.spaces import MAX_GRID_N
 
 
 class TestGridAndPoints:
@@ -36,10 +37,15 @@ class TestGridAndPoints:
             assert g == Grid(8)
             assert type(g.n) is int
 
-    @pytest.mark.parametrize("n", [2.0, 8.5, True, "8", np.float64(8.0), np.int64(0)])
+    @pytest.mark.parametrize(
+        "n", [2.0, 8.5, True, "8", np.float64(8.0), np.int64(0), MAX_GRID_N + 1, 10**12]
+    )
     def test_grid_rejects_bad_counts(self, n):
         with pytest.raises(DomainError):
             Grid(n)
+
+    def test_grid_at_the_size_cap(self):
+        assert Grid(MAX_GRID_N).n == MAX_GRID_N == 2**20
 
     def test_scalar_rejects_nan(self):
         with pytest.raises(DomainError):
