@@ -8,10 +8,12 @@ linear data for every admissible order and second-order accurate on smooth
 data, including at the endpoint where the kernel is unbounded for orders
 below 2.
 
-On a uniform grid a cell's two weights depend only on its lag behind the
-evaluation node, so each order needs one lag vector of n + 1 weights, plus
-a correction at node 0.  All nodes at once are a convolution of the node
-values with that vector; a single node is one dot product.  Memory is O(n).
+Every rule is one closed form, the product trapezoid (Diethelm, Ford and
+Freed, 2002): the weight of a node's hat function at any real evaluation
+point, so the boundary integrals run to k itself.  At the nodes a weight
+depends only on its lag, so each order needs one lag vector of n + 1 weights
+and a node-0 correction: all nodes at once are one convolution, a single
+node one dot product.  Memory is O(n).
 
 ``rl_integral_nodes`` and ``rl_integral`` build their weights on each call
 and convolve directly: they are the componentwise reference, accurate to
@@ -34,7 +36,6 @@ order beta + 1,
 
 which keeps the scheme exact on constant and linear data; an outer
 trapezoid over node values of the inner integral would lose that exactness.
-k is snapped to the nearest grid node and the snap distance is reported.
 """
 
 from __future__ import annotations
@@ -83,25 +84,41 @@ def gamma_fn(z: float) -> float:
         raise DomainError(f"gamma_fn({z!r}) overflows a float") from None
 
 
-def _lag_weights(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Convolution kernel and node-0 correction of the order-beta rule.
+def _steps(a: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g(s + 1) - g(s) and g(s - 1) - g(s) for g(u) = max(u, 0)^a, s >= -1.
+    Past s = 1 they are s^a expm1(a log1p(+-1/s)), so that their sum keeps
+    its digits where g(s + 1) - 2 g(s) + g(s - 1) cancels."""
+    down = -(np.maximum(s, 0.0) ** a)
+    up = (s + 1.0) ** a + down
+    far = s > 1.0
+    f = s[far]
+    pf = f**a
+    up[far] = pf * np.expm1(a * np.log1p(1.0 / f))
+    down[far] = pf * np.expm1(a * np.log1p(-1.0 / f))
+    return up, down
 
-    The cell at lag m = 1 .. n + 1 behind a node gives its left end the
-    weight ``left[m - 1]`` and its right end ``right[m - 1]``, whatever the
-    node.  Node i weighs node j >= 1 by ``kernel[i - j]``, the sum of the
-    right end of the lag-(i - j) cell and the left end of the lag-(i - j + 1)
-    cell, and node 0 by ``kernel[i] - right[i]``: no cell lies left of it.
-    """
-    scale = n**-beta / gamma_fn(beta)
-    m = np.arange(1, n + 2, dtype=float)
-    b = m - 1.0
-    dq = (m ** (beta + 1.0) - b ** (beta + 1.0)) / (beta + 1.0)
-    dp = (m**beta - b**beta) / beta
-    left = (dq - b * dp) * scale
-    right = (m * dp - dq) * scale
-    kernel = right.copy()
-    kernel[1:] += left[:-1]
-    return kernel, right
+
+def _node_weights(q: float, n: int, tau: float) -> np.ndarray:
+    """Weights of nodes 0 .. floor(tau) + 1 in the order-q integral at
+    t = tau / n, for 0 < tau < n.  With g(u) = max(u, 0)^(q + 1) and
+    c = h^q / Gamma(q + 2), node j >= 1 carries a whole hat function and
+    weighs c (g(s + 1) - 2 g(s) + g(s - 1)) at s = tau - j; node 0 carries
+    half a hat and weighs c (g(tau - 1) - g(tau) + (q + 1) tau^q)."""
+    a = q + 1.0
+    up, down = _steps(a, tau - np.arange(int(tau) + 2, dtype=float))
+    w = up + down
+    w[0] = down[0] + a * tau**q
+    return w * (n**-q / gamma_fn(a + 1.0))
+
+
+def _lag_weights(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Convolution kernel and node-0 correction of the order-beta rule: node
+    i weighs node j >= 1 by ``kernel[i - j]`` and node 0, which carries half
+    a hat, by ``kernel[i] - right[i]``, as ``_node_weights`` at tau = i."""
+    m = np.arange(n + 1, dtype=float)
+    up, down = _steps(beta + 1.0, m)
+    c = n**-beta / gamma_fn(beta + 2.0)
+    return c * (up + down), c * (up - (beta + 1.0) * m**beta)
 
 
 def _fft_length(size: int) -> int:
@@ -120,6 +137,13 @@ def _fft_length(size: int) -> int:
     return best
 
 
+def _check_on_grid(x, grid: Grid | None, name: str) -> None:
+    if not isinstance(x, GridFn):
+        raise ShapeError(f"{name} must be a grid function, got {type(x).__name__}")
+    if grid is not None and x.grid != grid:
+        raise ShapeError(f"{name} grid does not match the problem grid")
+
+
 def rl_integral_nodes(values: np.ndarray, beta: float, grid: Grid) -> np.ndarray:
     """Fractional integral of order beta evaluated at every grid node."""
     if beta <= 0.0:
@@ -134,6 +158,7 @@ def rl_integral_nodes(values: np.ndarray, beta: float, grid: Grid) -> np.ndarray
 
 def rl_integral(values: GridFn, beta: float, t_index: int) -> float:
     """Fractional integral of order beta at one grid node."""
+    _check_on_grid(values, None, "values")
     n = values.grid.n
     if not 0 <= t_index <= n:
         raise DomainError(f"node index {t_index} outside 0..{n}")
@@ -220,7 +245,7 @@ class OperatorWeights(NamedTuple):
 
     ``spectrum`` is the real FFT, at ``length`` points, of the order-beta lag
     vector; ``right`` is that order's node-0 correction; ``boundary`` weighs
-    nodes 0 .. k_index into the order-(beta + 1) integral at the k node.
+    nodes 0 .. floor(kn) + 1 into the order-(beta + 1) integral at t = k.
     """
 
     length: int
@@ -248,6 +273,10 @@ class FbvpProblem:
 
     def __post_init__(self) -> None:
         _check_orders(self.beta, self.k)
+        if not isinstance(self.grid, Grid):
+            raise ShapeError(f"grid must be a Grid, got {type(self.grid).__name__}")
+        if self.grid.n < 3:
+            raise DomainError(f"grid needs at least 3 subintervals, got n = {self.grid.n}")
         if not (math.isfinite(self.L) and self.L >= 0.0):
             raise DomainError(f"Lipschitz constant must be finite and nonnegative, got {self.L!r}")
         for t in _F_SPOT_T:
@@ -266,36 +295,19 @@ class FbvpProblem:
     @cached_property
     def operator_weights(self) -> OperatorWeights:
         """The operator's weights, built on first use and kept with the problem."""
-        n, k = self.grid.n, self.k_index
+        n = self.grid.n
         length = _fft_length(2 * n + 1)
         kernel, right = _lag_weights(self.beta, n)
         spectrum = rfft(kernel, length)
-        kernel_up, right_up = _lag_weights(self.beta + 1.0, n)
-        boundary = kernel_up[k::-1].copy()
-        boundary[0] -= right_up[k]
+        boundary = _node_weights(self.beta + 1.0, n, self.k * n)
         for a in (spectrum, right, boundary):
             a.setflags(write=False)
         return OperatorWeights(length, spectrum, right, boundary)
-
-    @property
-    def k_index(self) -> int:
-        return int(round(self.k * self.grid.n))
-
-    @property
-    def k_used(self) -> float:
-        """k snapped to the nearest grid node."""
-        return self.k_index / self.grid.n
-
-    @property
-    def k_snap_distance(self) -> float:
-        return abs(self.k - self.k_used)
 
     def to_record(self) -> dict:
         return {
             "beta": self.beta,
             "k": self.k,
-            "k_used": self.k_used,
-            "k_snap_distance": self.k_snap_distance,
             "L": self.L,
             "variant": self.variant.value,
             "n": self.grid.n,
@@ -305,10 +317,7 @@ class FbvpProblem:
 def apply_operator(problem: FbvpProblem, x: GridFn) -> GridFn:
     """One application of the integral operator to a grid function."""
     grid = problem.grid
-    if x.grid != grid:
-        raise ShapeError("input grid does not match the problem grid")
-    if problem.k_index < 1:
-        raise DomainError("grid too coarse: k snaps to node 0")
+    _check_on_grid(x, grid, "input")
     t = grid.nodes
     fv = np.asarray(problem.f(t, x.values), dtype=float)
     if fv.shape != t.shape:
@@ -317,29 +326,26 @@ def apply_operator(problem: FbvpProblem, x: GridFn) -> GridFn:
     main = irfft(rfft(fv, length) * spectrum, length)[: grid.n + 1]
     main -= right * fv[0]
     main[0] = 0.0  # the integral over [0, 0]
-    at_one = main[-1]
     # Order-swapped double integral: a single product integration at order
-    # beta + 1, evaluated at the snapped k node.
+    # beta + 1, evaluated at t = k.
     double = float(boundary @ fv[: boundary.size])
-    k_used = problem.k_used
-    coupling = (2.0 * t / (2.0 + k_used * k_used)) * (at_one + double)
-    if problem.variant is OperatorVariant.PAPER_EXACT:
-        out = main + coupling
-    else:
-        out = main - coupling
-    return GridFn(grid, out)
+    k = problem.k
+    coupling = (2.0 * t / (2.0 + k * k)) * (main[-1] + double)
+    sign = 1.0 if problem.variant is OperatorVariant.PAPER_EXACT else -1.0
+    return GridFn(grid, main + sign * coupling)
 
 
 def boundary_residual(problem: FbvpProblem, x: GridFn) -> float:
-    """|x(1) + int_0^k x(s) ds| with the integral taken by trapezoid up to
-    the snapped k node."""
-    idx = problem.k_index
-    integral = float(np.trapezoid(x.values[: idx + 1], dx=problem.grid.h))
-    return abs(float(x.values[-1]) + integral)
+    """|x(1) + int_0^k x(s) ds| with the integral taken by the order-1 rule:
+    the trapezoid, its last cell cut at k."""
+    _check_on_grid(x, problem.grid, "input")
+    w = _node_weights(1.0, problem.grid.n, problem.k * problem.grid.n)
+    return abs(float(x.values[-1]) + float(w @ x.values[: w.size]))
 
 
 def solution_caputo_residual(problem: FbvpProblem, x: GridFn) -> float:
     """Max over interior nodes of |numeric Caputo derivative - f(t, x)|."""
+    _check_on_grid(x, problem.grid, "input")
     cd = caputo_derivative_nodes(x, problem.beta)
     t = problem.grid.nodes
     fv = np.asarray(problem.f(t, x.values), dtype=float)
@@ -356,8 +362,6 @@ class FbvpSolution:
     lambda_paper: float
     lambda_tight: float
     gap_ratio: float
-    k_used: float
-    k_snap_distance: float
     warning: str | None
     trace: OrbitTrace
 
@@ -370,8 +374,6 @@ class FbvpSolution:
             "lambda_paper": self.lambda_paper,
             "lambda_tight": self.lambda_tight,
             "gap_ratio": self.gap_ratio,
-            "k_used": self.k_used,
-            "k_snap_distance": self.k_snap_distance,
             "warning": self.warning,
             "stop_reason": self.trace.stop_reason.value,
             "x_at_zero": float(self.x.values[0]),
@@ -394,13 +396,12 @@ def solve_fbvp(
     """
     if x0 is None:
         x0 = zero_grid_fn(problem.grid)
-    if x0.grid != problem.grid:
-        raise ShapeError("start grid does not match the problem grid")
+    _check_on_grid(x0, problem.grid, "start")
     if np.any(x0.values < 0.0):
         raise PreconditionError("start function must be nonnegative at every node")
 
-    lam_tight = lambda_tight(problem.beta, problem.k_used)
-    lam_disp = lambda_paper(problem.beta, problem.k_used)
+    lam_tight = lambda_tight(problem.beta, problem.k)
+    lam_disp = lambda_paper(problem.beta, problem.k)
     contraction = problem.L * lam_tight
     warning = None
     if contraction >= 1.0:
@@ -429,8 +430,6 @@ def solve_fbvp(
         lambda_paper=lam_disp,
         lambda_tight=lam_tight,
         gap_ratio=max(ratios) if ratios else 0.0,
-        k_used=problem.k_used,
-        k_snap_distance=problem.k_snap_distance,
         warning=warning,
         trace=trace,
     )

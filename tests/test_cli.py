@@ -115,6 +115,15 @@ class TestSolveCommand:
         record = json.loads((out / "report.json").read_text())
         assert record["solution"]["iterations"] == 2
 
+    def test_k_below_first_node_solves(self, tmp_path):
+        # k lies inside the first cell
+        text = GOOD_CONFIG.replace("k = 0.5", "k = 0.01").replace("n = 32", "n = 8")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "small_k"
+        assert main(["solve-fbvp", "--config", str(cfg), "--out", str(out)]) == STATUS_OK
+        record = json.loads((out / "report.json").read_text())
+        assert record["problem"]["k"] == 0.01
+
     def test_supercritical_config_passes_with_advisory(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -151,7 +160,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize(
         "field, value",
         [("L", "nan"), ("L", "inf"), ("tol", "-1"), ("max_iter", "0"), ("tol", "nan"),
-         ("n", "1048577"), ("n", "1000000000000")],
+         ("n", "1048577"), ("n", "1000000000000"), ("n", "1"), ("n", "2")],
     )
     def test_out_of_range_value_is_usage_error(self, field, value, tmp_path, capsys):
         kept = [line for line in GOOD_CONFIG.splitlines() if not line.startswith(f"{field} =")]

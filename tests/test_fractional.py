@@ -16,6 +16,7 @@ from relfix import (
     PreconditionError,
     ShapeError,
     apply_operator,
+    boundary_residual,
     caputo_derivative_nodes,
     caputo_residual,
     gamma_fn,
@@ -24,6 +25,8 @@ from relfix import (
     lambda_tight,
     rl_integral,
     rl_integral_nodes,
+    scalar,
+    solution_caputo_residual,
     solve_fbvp,
     zero_grid_fn,
 )
@@ -109,17 +112,18 @@ class TestRlIntegral:
             rl_integral(zero_grid_fn(g), 0.0, 4)
 
 
-def dense_weight_row(beta, n, i):
-    """Node weights of the order-beta integral at t_i, built cell by cell:
-    the kernel moments over each cell [t_j, t_(j+1)] against the two hat
-    functions of its ends."""
+def dense_weight_row(beta, n, tau):
+    """Node weights of the order-beta integral at t = tau / n, built cell by
+    cell: the kernel moments over each cell [t_j, t_(j+1)], the last one cut
+    at t, against the two hat functions of its ends."""
     h = 1.0 / n
     row = np.zeros(n + 1)
-    for j in range(i):
-        a, b = (i - j) * h, (i - j - 1) * h
+    for j in range(math.ceil(tau)):
+        a, c = (tau - j) * h, (tau - j - 1) * h
+        b = max(c, 0.0)
         dq = (a ** (beta + 1.0) - b ** (beta + 1.0)) / (beta + 1.0)
         dp = (a**beta - b**beta) / beta
-        row[j] += dq - b * dp
+        row[j] += dq - c * dp
         row[j + 1] += a * dp - dq
     return row / (math.gamma(beta) * h)
 
@@ -135,6 +139,25 @@ class TestLagWeights:
             want = dense_weight_row(beta, n, i) @ values
             assert abs(got[i] - want) <= 1e-12 * abs(want)
             assert abs(rl_integral(grid_fn(g, values), beta, i) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("beta", [1.5, 2.5])
+    def test_large_grid_accuracy_against_mpmath(self, beta):
+        # the same weights summed in 40-digit arithmetic; the float second
+        # difference of m^(beta + 1) is off by about 5e-10 here
+        mpmath = pytest.importorskip("mpmath")
+        n = 2**16
+        values = np.random.default_rng(7).uniform(0.0, 1.0, n + 1)
+        got = rl_integral(grid_fn(Grid(n), values), beta, n)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(beta) + 1
+            g = [mpmath.mpf(m) ** a for m in range(n + 2)]
+            v = [mpmath.mpf(float(x)) for x in values]
+            total = v[0] * (g[n - 1] - g[n] + a * g[n] / n)
+            for j in range(1, n + 1):
+                m = n - j
+                total += v[j] * (g[m + 1] - 2 * g[m] + (g[m - 1] if m else 0))
+            want = float(total * mpmath.mpf(n) ** -beta / mpmath.gamma(a + 1))
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_memory_stays_linear_in_n(self):
         # a dense (n + 1)^2 weight matrix would take 134 MB here
@@ -152,13 +175,14 @@ class TestLagWeights:
 
 def direct_operator_terms(problem, x):
     """The operator's two terms by direct convolution: ``rl_integral_nodes``
-    for the order-beta integral, ``rl_integral`` at order beta + 1 for the
-    boundary term, and the signed coupling."""
+    for the order-beta integral, the order-(beta + 1) node weights at t = k
+    for the boundary term, and the signed coupling."""
     g = problem.grid
     fv = np.asarray(problem.f(g.nodes, x.values), dtype=float)
     main = rl_integral_nodes(fv, problem.beta, g)
-    double = rl_integral(grid_fn(g, fv), problem.beta + 1.0, problem.k_index)
-    k = problem.k_used
+    row = fractional._node_weights(problem.beta + 1.0, g.n, problem.k * g.n)
+    double = row @ fv[: row.size]
+    k = problem.k
     coupling = 2.0 * g.nodes / (2.0 + k * k) * (main[-1] + double)
     sign = 1.0 if problem.variant is OperatorVariant.PAPER_EXACT else -1.0
     return main, sign * coupling
@@ -231,6 +255,59 @@ class TestFftOperator:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 1024 * 1024
+
+
+class TestBoundaryAtK:
+    """The boundary integrals run to k itself, whether or not k is a node."""
+
+    def test_solution_converges_in_order_two_off_grid(self):
+        sols = {}
+        for n in (64, 128, 256, 512, 1024, 2048):
+            problem = FbvpProblem(1.5, 0.33, 0.2, sine_mix_source(0.2), Grid(n))
+            sols[n] = solve_fbvp(problem, tol=1e-13).x.values
+        gaps = [np.max(np.abs(sols[n] - sols[2 * n][::2])) for n in (64, 128, 256, 512, 1024)]
+        orders = [math.log2(a / b) for a, b in zip(gaps, gaps[1:])]
+        assert min(orders) >= 1.9
+
+    # order 1 is boundary_residual's rule; 2.2, 2.5 and 3 are beta + 1
+    @pytest.mark.parametrize("q", [1.0, 2.2, 2.5, 3.0])
+    @pytest.mark.parametrize("n", [8, 64, 1000])
+    @pytest.mark.parametrize("k", [0.01, 0.33, 0.777])
+    def test_boundary_row_exact_on_constants_and_linears(self, q, n, k):
+        row = fractional._node_weights(q, n, k * n)
+        t = Grid(n).nodes[: row.size]
+        for got, want in ((row.sum(), k**q / gamma_fn(q + 1.0)),
+                          (row @ t, k ** (q + 1.0) / gamma_fn(q + 2.0))):
+            assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("q", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    @pytest.mark.parametrize("k", [0.01, 0.33, 0.5])
+    def test_boundary_row_matches_cell_by_cell(self, q, n, k):
+        row = fractional._node_weights(q, n, k * n)
+        ref = dense_weight_row(q, n, k * n)
+        values = np.random.default_rng(n).uniform(0.5, 2.0, n + 1)
+        want = ref @ values
+        assert abs(row @ values[: row.size] - want) <= 1e-12 * want
+        assert not ref[row.size:].any()
+
+    @pytest.mark.parametrize("variant", list(OperatorVariant))
+    @pytest.mark.parametrize("k", [0.01, 0.33])
+    def test_operator_and_residual_exact_on_linear_data(self, variant, k):
+        # source 1 + t: every integral of the operator has a closed form
+        beta, n = 1.5, 64
+        problem = FbvpProblem(beta, k, 0.0, lambda t, x: 1.0 + t + 0.0 * x, Grid(n), variant)
+        t = problem.grid.nodes
+        g1, g2, g3 = (gamma_fn(beta + i) for i in (1.0, 2.0, 3.0))
+        at_one = 1.0 / g1 + 1.0 / g2
+        double = k ** (beta + 1.0) / g2 + k ** (beta + 2.0) / g3
+        sign = 1.0 if variant is OperatorVariant.PAPER_EXACT else -1.0
+        coupling = 2.0 * t / (2.0 + k * k) * (at_one + double)
+        want = t**beta / g1 + t ** (beta + 1.0) / g2 + sign * coupling
+        got = apply_operator(problem, zero_grid_fn(problem.grid)).values
+        assert np.max(np.abs(got - want)) <= 1e-12
+        residual = boundary_residual(problem, grid_fn(problem.grid, 1.0 + t))
+        assert residual == pytest.approx(2.0 + k + k * k / 2.0, rel=1e-12)
 
 
 class TestCaputoResidual:
@@ -380,10 +457,37 @@ class TestProblemValidation:
         with pytest.raises(DomainError, match="finite"):
             FbvpProblem(beta=1.5, k=0.5, L=L, f=constant_source(1.0), grid=Grid(8))
 
-    def test_k_snap_reported(self):
+    def test_k_reported_as_given(self):
         problem = FbvpProblem(beta=1.5, k=0.33, L=0.0, f=constant_source(1.0), grid=Grid(8))
-        assert problem.k_used == 0.375
-        assert problem.k_snap_distance == pytest.approx(0.045, abs=1e-12)
+        solution = solve_fbvp(problem)
+        assert problem.to_record()["k"] == 0.33
+        assert solution.lambda_tight == lambda_tight(1.5, 0.33)
+        assert solution.lambda_paper == lambda_paper(1.5, 0.33)
+        keys = set(problem.to_record()) | set(solution.to_record())
+        assert not keys & {"k_used", "k_snap_distance"}
+
+    def test_too_few_subintervals_rejected(self):
+        for n in (1, 2):
+            with pytest.raises(DomainError, match="at least 3"):
+                FbvpProblem(beta=1.5, k=0.5, L=0.0, f=constant_source(1.0), grid=Grid(n))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: apply_operator(p, scalar(1.0)),
+            lambda p: boundary_residual(p, scalar(1.0)),
+            lambda p: solution_caputo_residual(p, scalar(1.0)),
+            lambda p: solve_fbvp(p, x0=scalar(1.0)),
+            lambda p: rl_integral(np.zeros(9), 1.5, 3),
+            lambda p: FbvpProblem(p.beta, p.k, p.L, p.f, grid=8),
+        ],
+        ids=["apply_operator", "boundary_residual", "caputo_residual", "solve_fbvp",
+             "rl_integral", "problem_grid"],
+    )
+    def test_wrong_point_type_is_shape_error(self, call):
+        problem = FbvpProblem(beta=1.5, k=0.5, L=0.0, f=constant_source(1.0), grid=Grid(8))
+        with pytest.raises(ShapeError):
+            call(problem)
 
 
 class TestSolve:
