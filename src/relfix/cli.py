@@ -41,6 +41,9 @@ REPORT_NAME = "report.json"
 ORBIT_NAME = "orbit.csv"
 SOLUTION_NAME = "solution.csv"
 
+# Most points the cubic triangle and separation checks run on.
+AXIOM_SAMPLE_LIMIT = 50
+
 
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
@@ -64,13 +67,31 @@ def _finish(record: dict, checks: dict) -> int:
     return STATUS_OK if not failed else STATUS_CHECK_FAILED
 
 
-def _coarse(sample, limit=50):
-    stride = max(1, math.ceil(len(sample) / limit))
+def _coarse(sample):
+    stride = max(1, math.ceil(len(sample) / AXIOM_SAMPLE_LIMIT))
     return sample[::stride]
 
 
 # ---------------------------------------------------------------------------
 # verify-example batteries
+
+
+def _start_and_axiom_checks(fx: Fixture, sample, checks):
+    """Start points on the sample, and the triangle and separation axioms of
+    the fixture's pair distance on a coarsened copy of it."""
+    starts = find_start_points(fx.relation, fx.map, sample)
+    checks["start_points_nonempty"] = {"pass": bool(starts), "count": len(starts)}
+
+    coarse = _coarse(sample)
+    tri = check_triangle(fx.wdistance, coarse)
+    checks["triangle_axiom"] = {"pass": tri.ok, "detail": tri.to_record()}
+    w3 = check_w3(fx.wdistance, fx.space, coarse, eps_grid=(0.5, 0.1))
+    checks["separation_axiom"] = {"pass": w3.ok, "detail": w3.to_record()}
+
+
+def _cauchy_check(fx: Fixture, orbit, checks):
+    cauchy = certify_cauchy(orbit, fx.wdistance)
+    checks["cauchy_bound_certified"] = {"pass": cauchy.ok, "violations": len(cauchy.violations)}
 
 
 def _battery_parity(fx: Fixture, sample, checks, advisories):
@@ -160,14 +181,7 @@ def _battery_ordered_halving(fx: Fixture, sample, checks, advisories):
         "pass": complete.ok,
         "observed": complete.verdict.value,
     }
-    starts = find_start_points(fx.relation, fx.map, sample)
-    checks["start_points_nonempty"] = {"pass": bool(starts), "count": len(starts)}
-
-    coarse = _coarse(sample)
-    tri = check_triangle(fx.wdistance, coarse)
-    checks["triangle_axiom"] = {"pass": tri.ok, "detail": tri.to_record()}
-    w3 = check_w3(fx.wdistance, fx.space, coarse, eps_grid=(0.5, 0.1))
-    checks["separation_axiom"] = {"pass": w3.ok, "detail": w3.to_record()}
+    _start_and_axiom_checks(fx, sample, checks)
 
     pairs = related_pairs(fx.relation, sample)
     comparison = compare_classical(fx.map, fx.space, fx.relation, pairs)
@@ -201,11 +215,7 @@ def _battery_ordered_halving(fx: Fixture, sample, checks, advisories):
         "residual": residual,
         "detail": orbit.to_record(),
     }
-    cauchy = certify_cauchy(orbit, fx.wdistance)
-    checks["cauchy_bound_certified"] = {
-        "pass": cauchy.ok,
-        "violations": len(cauchy.violations),
-    }
+    _cauchy_check(fx, orbit, checks)
     probe = probe_uniqueness(
         fx.relation, fx.map, fx.wdistance, est.lambda_hat, [orbit.final], sample
     )
@@ -219,14 +229,7 @@ def _battery_ordered_halving(fx: Fixture, sample, checks, advisories):
 
 
 def _battery_product_shrink(fx: Fixture, sample, checks, advisories):
-    starts = find_start_points(fx.relation, fx.map, sample)
-    checks["start_points_nonempty"] = {"pass": bool(starts), "count": len(starts)}
-
-    coarse = _coarse(sample)
-    tri = check_triangle(fx.wdistance, coarse)
-    checks["triangle_axiom"] = {"pass": tri.ok, "detail": tri.to_record()}
-    w3 = check_w3(fx.wdistance, fx.space, coarse, eps_grid=(0.5, 0.1))
-    checks["separation_axiom"] = {"pass": w3.ok, "detail": w3.to_record()}
+    _start_and_axiom_checks(fx, sample, checks)
 
     report = verify_theorem(
         fx.map, fx.space, fx.relation, fx.wdistance, sample, scalar(1.0)
@@ -258,11 +261,7 @@ def _battery_product_shrink(fx: Fixture, sample, checks, advisories):
         default=0.0,
     )
     checks["p_gap_chaining"] = {"pass": slack <= 1e-12, "max_slack": slack}
-    cauchy = certify_cauchy(orbit, fx.wdistance)
-    checks["cauchy_bound_certified"] = {
-        "pass": cauchy.ok,
-        "violations": len(cauchy.violations),
-    }
+    _cauchy_check(fx, orbit, checks)
     probe = probe_uniqueness(
         fx.relation,
         fx.map,

@@ -22,7 +22,6 @@ from .errors import DivergenceError, DomainError, PreconditionError
 from .relations import Relation, check_complete_on
 from .spaces import (
     GridFn,
-    MetricSpace,
     Point,
     ScalarPoint,
     as_scalar,
@@ -57,6 +56,14 @@ __all__ = [
 ]
 
 GAP_LIMIT = 1e8
+# Final tail bounds u_N, v_N at most this count as vanished in the limit lemma.
+VANISH_TOL = 1e-6
+# Rounding allowance on d(y, z) <= u_N + v_N, the limit lemma's conclusion.
+SEPARATION_SLACK = 1e-12
+# Orbit steps over which the uniqueness probe checks the lambda^n decay.
+PROBE_STEPS = 25
+# Fixed-point candidates farther apart than this in the metric are distinct.
+CANDIDATE_SEPARATION = 1e-8
 
 
 class StopReason(Enum):
@@ -282,6 +289,8 @@ def cauchy_bound(lam: float, p01: float, n: int) -> float:
 
 def certify_cauchy(trace: OrbitTrace, p: WDistance, tol: float = 1e-10) -> CauchyCheck:
     """Check p(x_n, x_m) <= u_n + tol for every recorded index pair n < m."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise PreconditionError(f"tolerance must be finite and nonnegative, got {tol!r}")
     pts = trace.points
     if not pts:
         raise PreconditionError("empty trace")
@@ -305,23 +314,20 @@ def certify_limit_uniqueness(
     z: Point,
     u: Sequence[float],
     v: Sequence[float],
-    space: MetricSpace | None = None,
-    *,
-    vanish_tol: float = 1e-6,
-    sep_slack: float = 1e-12,
 ) -> bool:
     """Numeric form of the two-target limit lemma: the bounds force y = z.
 
     Verifies p(x_n, y) <= u_n and p(x_n, z) <= v_n for every n and that both
-    bound sequences have vanished at the tail, then asserts
-    d(y, z) <= u[-1] + v[-1] + sep_slack.
+    bound sequences have vanished at the tail (final values at most
+    ``VANISH_TOL``), then asserts d(y, z) <= u[-1] + v[-1] + SEPARATION_SLACK
+    in the point metric.
     """
     xs = list(xs)
     u = [float(a) for a in u]
     v = [float(a) for a in v]
     if not xs or len(u) != len(xs) or len(v) != len(xs):
         raise PreconditionError("xs, u, v must be nonempty and of equal length")
-    if u[-1] > vanish_tol or v[-1] > vanish_tol:
+    if u[-1] > VANISH_TOL or v[-1] > VANISH_TOL:
         raise PreconditionError(
             f"bound sequences have not vanished: final values {u[-1]:.3e}, {v[-1]:.3e}"
         )
@@ -330,21 +336,19 @@ def certify_limit_uniqueness(
             raise PreconditionError(f"hypothesis p(x_n, y) <= u_n fails at n = {n}")
         if p(x, z) > v[n]:
             raise PreconditionError(f"hypothesis p(x_n, z) <= v_n fails at n = {n}")
-    dist = space.d(y, z) if space is not None else point_distance(y, z)
-    return dist <= u[-1] + v[-1] + sep_slack
+    return point_distance(y, z) <= u[-1] + v[-1] + SEPARATION_SLACK
 
 
 def certify_fixed_point(
     map_: SelfMap,
     point: Point,
     p: WDistance,
-    tol: float | None = None,
     unique: UniquenessVerdict = UniquenessVerdict.NOT_PROBED,
 ) -> FixedPointCertificate:
     """Issue a certificate after re-checking the residual with an extra map
-    application; refuses when either residual exceeds the tolerance."""
-    if tol is None:
-        tol = default_tolerance(point)
+    application; refuses when either residual exceeds
+    ``default_tolerance(point)``."""
+    tol = default_tolerance(point)
     image = map_.apply(point)
     residual = point_distance(point, image)
     follow_up = point_distance(image, map_.apply(image))
@@ -361,17 +365,16 @@ def _geometric_decay_holds(
     lam: float,
     z: Point,
     candidates: list[Point],
-    n_steps: int,
     tol: float,
 ) -> bool:
     base = [p(z, c) for c in candidates]
     zn = z
-    for n in range(n_steps + 1):
+    for n in range(PROBE_STEPS + 1):
         factor = lam**n
         for c, p0 in zip(candidates, base):
             if p(zn, c) > factor * p0 + tol:
                 return False
-        if n < n_steps:
+        if n < PROBE_STEPS:
             zn = map_.apply(zn)
     return True
 
@@ -383,27 +386,30 @@ def probe_uniqueness(
     lam: float,
     fp_candidates: Sequence[Point],
     sample: Sequence[Point],
-    n_steps: int = 25,
     *,
-    residual_tol: float | None = None,
     decay_tol: float = 1e-9,
-    sep_tol: float = 1e-8,
     z_hint: Point | None = None,
 ) -> ProbeResult:
     """Try the two uniqueness conditions against the candidate fixed points.
 
+    Each candidate's residual must be within ``default_tolerance``.
     Condition 1 looks for a point z related to every candidate (a caller
     hint is tried first, then images of the sample) and verifies the
-    lambda^n decay of p(T^n z, c); condition 2 checks completeness of the
-    relation on the image sample and that the contraction forces the pair
-    distance between distinct candidates to vanish.  The verdict names the
-    condition that certified uniqueness, or reports failure.
+    lambda^n decay of p(T^n z, c), up to ``decay_tol``, over ``PROBE_STEPS``
+    steps; condition 2 checks completeness of the relation on the image
+    sample and that the contraction forces the pair distance between
+    distinct candidates to vanish.  Candidates farther apart than
+    ``CANDIDATE_SEPARATION`` in the metric are distinct, and no condition
+    certifies uniqueness for them.  The verdict names the condition that
+    certified uniqueness, or reports failure.
     """
+    if not (math.isfinite(decay_tol) and decay_tol >= 0.0):
+        raise PreconditionError(f"decay_tol must be finite and nonnegative, got {decay_tol!r}")
     candidates = list(fp_candidates)
     if not candidates:
         raise PreconditionError("no fixed-point candidates supplied")
     for c in candidates:
-        tol_c = residual_tol if residual_tol is not None else default_tolerance(c)
+        tol_c = default_tolerance(c)
         res = point_distance(c, map_.apply(c))
         if res > tol_c:
             raise PreconditionError(
@@ -412,7 +418,7 @@ def probe_uniqueness(
 
     notes: list[str] = []
     separated = any(
-        point_distance(a, b) > sep_tol
+        point_distance(a, b) > CANDIDATE_SEPARATION
         for i, a in enumerate(candidates)
         for b in candidates[i + 1 :]
     )
@@ -427,7 +433,7 @@ def probe_uniqueness(
         if not related:
             continue
         found_related_z = True
-        if _geometric_decay_holds(map_, p, lam, z, candidates, n_steps, decay_tol):
+        if _geometric_decay_holds(map_, p, lam, z, candidates, decay_tol):
             if separated:
                 notes.append("decay held but candidates stay separated")
                 break
@@ -463,7 +469,7 @@ def probe_uniqueness(
                         collapse_ok = False
                         notes.append("contraction fails on a candidate pair")
                         break
-                    if pv > decay_tol / (1.0 - lam) or point_distance(a, b) > sep_tol:
+                    if pv > decay_tol / (1.0 - lam) or point_distance(a, b) > CANDIDATE_SEPARATION:
                         collapse_ok = False
                         notes.append("candidate pair distance did not collapse")
                         break

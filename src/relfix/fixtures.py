@@ -53,7 +53,6 @@ class Fixture:
     factor when one is known.
     """
 
-    key: str
     title: str
     space: MetricSpace
     relation: Relation
@@ -79,7 +78,6 @@ def parity_successor_fixture() -> Fixture:
         return integers & (np.mod(x, 2.0) == 0.0) & (np.mod(y, 2.0) == 1.0)
 
     return Fixture(
-        key="Ex1_7",
         title="parity relation under the successor map",
         space=interval_space(1.0, 20.0),
         relation=Relation.elementwise("even_to_odd", even_to_odd),
@@ -109,7 +107,6 @@ def ceiling_window_fixture() -> Fixture:
     which is exactly the lower-semi-continuity direction.
     """
     return Fixture(
-        key="Ex1_13",
         title="ceiling function on integer windows",
         space=interval_space(-3.0, 3.0),
         relation=Relation.elementwise("same_integer_window", _same_integer_window),
@@ -136,7 +133,6 @@ def jump_plateau_fixture() -> Fixture:
     relation-preserving, which is why the relation-restricted check passes.
     """
     return Fixture(
-        key="Ex1_14",
         title="three-level plateau under the product relation",
         space=interval_space(0.0, 4.0),
         relation=Relation.elementwise("product_leq_coordinate", _product_leq_coordinate),
@@ -159,7 +155,6 @@ def ordered_halving_fixture() -> Fixture:
         return np.where(v < 2.0, v / 2.0, 2.0)
 
     return Fixture(
-        key="Ex2_3",
         title="descending order with a capped halving map",
         space=interval_space(1.0, 3.0, hi_inclusive=False),
         relation=Relation.elementwise("descending", lambda x, y: x >= y),
@@ -185,7 +180,6 @@ def product_shrink_fixture() -> Fixture:
     for every y, which supplies the common ancestor for the uniqueness probe.
     """
     return Fixture(
-        key="Ex2_4",
         title="four-branch shrink map under the product relation",
         space=interval_space(0.0, 2.0),
         relation=Relation.elementwise("product_leq_coordinate", _product_leq_coordinate),
@@ -217,7 +211,6 @@ def product_nonneg_relation() -> Relation:
 def fbvp_fixture(problem: FbvpProblem) -> Fixture:
     """The boundary-value operator packaged for the relation checkers."""
     return Fixture(
-        key="fbvp",
         title="fractional boundary-value integral operator",
         space=function_space(problem.grid),
         relation=product_nonneg_relation(),

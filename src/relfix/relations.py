@@ -9,6 +9,7 @@ declared tail window of the supplied finite sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -67,7 +68,6 @@ class Relation:
 
     name: str
     holds: Callable[[Point, Point], bool]
-    note: str = ""
     array: Callable | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, x: Point, y: Point) -> bool:
@@ -84,23 +84,24 @@ class Relation:
         return evaluate_pairs(self, self.array, xs, ys, fill=False, at=(i, j))
 
     @staticmethod
-    def elementwise(name: str, pred: Callable, note: str = "") -> "Relation":
+    def elementwise(name: str, pred: Callable) -> "Relation":
         """A relation on scalar points from one predicate written with numpy
         operations (``&``, ``|``, ``np.where``), so that it accepts floats and
         broadcast arrays alike."""
-        return Relation(name, lambda x, y: bool(pred(as_scalar(x), as_scalar(y))), note, pred)
+        return Relation(name, lambda x, y: bool(pred(as_scalar(x), as_scalar(y))), pred)
 
     @staticmethod
-    def on_scalars(name: str, pred: Callable[[float, float], bool], note: str = "") -> "Relation":
-        return Relation(name, lambda x, y: bool(pred(as_scalar(x), as_scalar(y))), note)
+    def on_scalars(name: str, pred: Callable[[float, float], bool]) -> "Relation":
+        return Relation(name, lambda x, y: bool(pred(as_scalar(x), as_scalar(y))))
 
     @staticmethod
-    def on_grids(name: str, pred, note: str = "") -> "Relation":
-        return Relation(name, lambda x, y: bool(pred(as_values(x), as_values(y))), note)
+    def on_grids(name: str, pred) -> "Relation":
+        return Relation(name, lambda x, y: bool(pred(as_values(x), as_values(y))))
 
 
 def universal_relation() -> Relation:
-    return Relation("universal", lambda x, y: True, "relates every ordered pair")
+    """The relation that relates every ordered pair."""
+    return Relation("universal", lambda x, y: True)
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,8 @@ def preserving_tail(
     of ``limit``."""
     if not 0.0 < tail_fraction <= 1.0:
         raise PreconditionError(f"tail fraction must lie in (0, 1], got {tail_fraction!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise PreconditionError(f"tolerance must be finite and nonnegative, got {tol!r}")
     seq = list(seq)
     if len(seq) < 2:
         raise PreconditionError("need at least two sequence entries")

@@ -221,9 +221,6 @@ class MetricSpace:
             return isinstance(point, ScalarPoint) and self.kind.contains(point.value)
         return isinstance(point, GridFn) and point.grid == self.kind.grid
 
-    def d(self, x: Point, y: Point) -> float:
-        return metric_eval(self, x, y)
-
 
 def interval_space(lo: float, hi: float, hi_inclusive: bool = True) -> MetricSpace:
     return MetricSpace(Interval(float(lo), float(hi), hi_inclusive))

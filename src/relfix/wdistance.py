@@ -45,6 +45,9 @@ __all__ = [
     "check_w3",
 ]
 
+# Rounding allowance on p(x, z) <= p(x, y) + p(y, z) in the triangle check.
+TRIANGLE_SLACK = 1e-12
+
 
 class Axiom(Enum):
     W1_TRIANGLE = "triangle"
@@ -180,8 +183,9 @@ class AxiomReport:
         return rec
 
 
-def check_triangle(p: WDistance, sample: Sequence[Point], *, tol: float = 1e-12) -> AxiomReport:
-    """Exhaustive p(x, z) <= p(x, y) + p(y, z) over all sampled triples.
+def check_triangle(p: WDistance, sample: Sequence[Point]) -> AxiomReport:
+    """Exhaustive p(x, z) <= p(x, y) + p(y, z) + TRIANGLE_SLACK over all
+    sampled triples.
 
     The triples are scanned a block of first points x at a time, so memory
     grows with the square of the sample size, not its cube.
@@ -197,7 +201,7 @@ def check_triangle(p: WDistance, sample: Sequence[Point], *, tol: float = 1e-12)
         # lhs[i, j, k] = p(x_i, z_k), rhs[i, j, k] = p(x_i, y_j) + p(y_j, z_k)
         lhs = P[rows, None, :]
         rhs = P[rows, :, None] + P[None, :, :]
-        bad = lhs > rhs + tol
+        bad = lhs > rhs + TRIANGLE_SLACK
         count = int(np.count_nonzero(bad))
         violations += count
         if not count or len(witnesses) == 50:
@@ -237,6 +241,8 @@ def check_rlsc(
     The sequence must be preserving (use the universal relation for a plain,
     relation-free check) and must converge to ``limit`` within ``conv_tol``.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise PreconditionError(f"tolerance must be finite and nonnegative, got {tol!r}")
     seq, window = preserving_tail(rel, seq, limit, conv_tol, tail_fraction)
     tail = seq[-window:]
     tail_values = p.matrix([anchor], tail)[0]
@@ -276,9 +282,9 @@ def check_w3(
     space: MetricSpace,
     sample: Sequence[Point],
     eps_grid: Sequence[float],
-    delta_ladder: Sequence[float] | None = None,
 ) -> AxiomReport:
-    """For each epsilon, the largest ladder delta satisfying separation.
+    """For each epsilon, the largest delta on the fixed ladder
+    ``default_delta_ladder()`` (1, 1/2, ..., 2^-20) satisfying separation.
 
     The ladder is searched top down, so the first success is the largest
     working delta; an epsilon with no working delta fails the axiom and the
@@ -287,13 +293,8 @@ def check_w3(
     sample = list(sample)
     if not sample:
         raise PreconditionError("empty sample")
-    ladder = tuple(delta_ladder) if delta_ladder is not None else default_delta_ladder()
-    if not ladder or any(d <= 0 for d in ladder) or any(
-        a <= b for a, b in zip(ladder, ladder[1:])
-    ):
-        raise PreconditionError("delta ladder must be positive and strictly descending")
-    if not eps_grid or any(e <= 0 for e in eps_grid):
-        raise PreconditionError("eps grid must be positive")
+    if not eps_grid or not all(math.isfinite(e) and e > 0 for e in eps_grid):
+        raise PreconditionError(f"eps grid must be finite and positive, got {tuple(eps_grid)!r}")
 
     P = p.matrix(sample, sample)
     D = WDistance.from_space(space).matrix(sample, sample)
@@ -301,7 +302,7 @@ def check_w3(
     for eps in eps_grid:
         found = None
         last_witness = None
-        for delta in ladder:
+        for delta in default_delta_ladder():
             ok, wit = _separation_holds(P, D, delta, eps)
             if ok:
                 found = delta

@@ -278,3 +278,28 @@ class TestOrbitProperties:
 )
 def test_cauchy_bound_monotone_property(lam, p01, n):
     assert cauchy_bound(lam, p01, n + 1) < cauchy_bound(lam, p01, n)
+
+
+def _cauchy_with_tol(tol):
+    # at lambda = 0.01 the tail bound is far below the true gaps, so the
+    # default tolerance finds violations
+    trace = iterate(SHRINK.map, scalar(2.0), SHRINK.wdistance, 0.01, max_iter=100)
+    assert not certify_cauchy(trace, SHRINK.wdistance).ok
+    return certify_cauchy(trace, SHRINK.wdistance, tol=tol)
+
+
+def _probe_with_decay_tol(tol):
+    # at lambda = 0 no related z sustains the decay toward the candidate 2
+    sample = sample_space(HALVING.space, step=0.1)
+    args = (HALVING.relation, HALVING.map, HALVING.wdistance, 0.0, [scalar(2.0)], sample)
+    assert probe_uniqueness(*args).verdict is not UniquenessVerdict.UNIQUE_BY_CONDITION_1
+    return probe_uniqueness(*args, decay_tol=tol)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
+@pytest.mark.parametrize(
+    "call", [_cauchy_with_tol, _probe_with_decay_tol], ids=lambda f: f.__name__
+)
+def test_tolerance_must_be_finite_and_nonnegative(call, bad):
+    with pytest.raises(PreconditionError, match="finite and nonnegative"):
+        call(bad)

@@ -208,3 +208,13 @@ def test_order_preserving_sequences_are_exactly_the_nonincreasing_ones(seq):
     points = pts(*seq)
     nonincreasing = all(a >= b for a, b in zip(seq, seq[1:]))
     assert is_preserving(rel, points) == nonincreasing
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
+def test_convergence_tolerance_must_be_finite_and_nonnegative(bad):
+    # the tail sits 4.0 from the limit, which a finite tolerance of 0.02 rejects
+    seq, limit = pts(5, 5, 5), scalar(1.0)
+    with pytest.raises(PreconditionError, match="above tolerance"):
+        witness_d_self_closed(universal_relation(), seq, limit, tol=0.02)
+    with pytest.raises(PreconditionError, match="finite and nonnegative"):
+        witness_d_self_closed(universal_relation(), seq, limit, tol=bad)

@@ -217,3 +217,36 @@ def test_second_coordinate_triangle_property(values):
 )
 def test_metric_triangle_property(values):
     assert check_triangle(METRIC, pts(*values)).ok
+
+
+def _rlsc(**tols):
+    # the tail sits 4.0 from the limit: conv_tol = 0.02 rejects it, 5.0 accepts it
+    return check_rlsc(METRIC, scalar(0.0), universal_relation(), pts(5, 5, 5), scalar(1.0), **tols)
+
+
+def _w3(eps):
+    # p = 0 puts every pair within every delta, so only eps decides
+    flat = WDistance.on_scalars("zero", lambda x, y: 0.0)
+    space = product_shrink_fixture().space
+    assert not check_w3(flat, space, pts(0, 1, 2), eps_grid=(0.5,)).ok
+    return check_w3(flat, space, pts(0, 1, 2), eps_grid=(eps,))
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda bad: _rlsc(conv_tol=bad), float("nan")),
+        (lambda bad: _rlsc(conv_tol=bad), float("inf")),
+        (lambda bad: _rlsc(tol=bad, conv_tol=5.0), float("nan")),
+        (lambda bad: _rlsc(tol=bad, conv_tol=5.0), float("inf")),
+        (lambda bad: _rlsc(tol=bad, conv_tol=5.0), -1e-9),
+        (_w3, float("nan")),
+        (_w3, float("inf")),
+    ],
+    ids=[
+        "conv_tol-nan", "conv_tol-inf", "tol-nan", "tol-inf", "tol-negative", "eps-nan", "eps-inf",
+    ],
+)
+def test_tolerances_must_be_finite(call, bad):
+    with pytest.raises(PreconditionError, match="finite"):
+        call(bad)
