@@ -17,14 +17,17 @@ every pair on which either comparison test fails.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from itertools import compress
+from typing import Callable
 
 import numpy as np
 
 from .engine import OrbitTrace, SelfMap, StopReason, iterate
-from .errors import DivergenceError, EstimationError, PreconditionError
+from .errors import DivergenceError, EstimationError, PreconditionError, ShapeError
 from .relations import (
     Relation,
     check_t_closed,
@@ -92,11 +95,45 @@ class PairComparison:
         }
 
 
+class _Lazy(Sequence):
+    """A read-only sequence of ``size`` items whose n-th item is built by
+    ``item(n)`` when it is read; slices are lists, and it equals any
+    sequence with the same items."""
+
+    def __init__(self, size: int, item: Callable[[int], object]):
+        self._size, self._item = size, item
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._item(n) for n in range(*k.indices(self._size))]
+        n = operator.index(k)
+        if not -self._size <= n < self._size:
+            raise IndexError("sequence index out of range")
+        return self._item(n % self._size)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+class _PairSet(_Lazy):
+    """Pairs ``(points[i[k]], points[j[k]])``, all related under
+    ``relation``."""
+
+    def __init__(self, relation: Relation, points: list[Point], i: np.ndarray, j: np.ndarray):
+        super().__init__(i.size, lambda k: (points[i[k]], points[j[k]]))
+        self.relation, self.points, self.i, self.j = relation, points, i, j
+
+
 @dataclass(frozen=True)
 class ClassicalComparison:
-    rows: tuple[PairComparison, ...]
-    banach_failures: tuple[PairComparison, ...]
-    mt_failures: tuple[PairComparison, ...]
+    rows: Sequence[PairComparison]
+    banach_failures: Sequence[PairComparison]
+    mt_failures: Sequence[PairComparison]
 
     def to_record(self) -> dict:
         return {
@@ -199,15 +236,28 @@ class _WorstRatio:
 def _index_pairs(
     rel: Relation, pairs: Sequence[tuple[Point, Point]]
 ) -> tuple[list[Point], np.ndarray, np.ndarray]:
-    """The pairs' distinct points in order of first appearance, and index
-    arrays with ``pairs[k] == (points[i[k]], points[j[k]])``; all related."""
-    index: dict[Point, int] = {}
-    i, j = [], []
-    for x, y in pairs:
-        i.append(index.setdefault(x, len(index)))
-        j.append(index.setdefault(y, len(index)))
-    points = list(index)
-    i, j = np.array(i, dtype=np.intp), np.array(j, dtype=np.intp)
+    """The pairs' distinct points and index arrays with
+    ``pairs[k] == (points[i[k]], points[j[k]])``, all related under ``rel``.
+
+    A pair set from ``related_pairs`` gives its own arrays, re-checked only
+    when it was built under another relation; any other sequence is hashed
+    into its distinct points in order of first appearance."""
+    if isinstance(pairs, _PairSet):
+        points, i, j = pairs.points, pairs.i, pairs.j
+        if pairs.relation is rel:
+            return points, i, j
+    else:
+        index: dict[Point, int] = {}
+        i, j = [], []
+        for pair in pairs:
+            try:
+                x, y = pair
+            except (TypeError, ValueError):
+                raise ShapeError(f"pair entries must be (x, y), got {pair!r}") from None
+            i.append(index.setdefault(x, len(index)))
+            j.append(index.setdefault(y, len(index)))
+        points = list(index)
+        i, j = np.array(i, dtype=np.intp), np.array(j, dtype=np.intp)
     if not rel.at(points, points, i, j).all():
         raise PreconditionError(f"pair is not related under {rel.name}")
     return points, i, j
@@ -215,9 +265,13 @@ def _index_pairs(
 
 def related_pairs(
     rel: Relation, sample: Sequence[Point], *, cap: int = 1_000_000
-) -> list[tuple[Point, Point]]:
+) -> Sequence[tuple[Point, Point]]:
     """All related ordered pairs from sample x sample, deterministically
-    strided down when the count exceeds ``cap``."""
+    strided down when the count exceeds ``cap``.
+
+    The pairs are a sequence of ``(x, y)`` tuples held as index arrays into
+    the sample points that appear in some pair; ``estimate_lambda`` and
+    ``compare_classical`` read those arrays directly."""
     if cap < 1:
         raise PreconditionError(f"pair cap must be at least 1, got {cap!r}")
     sample = list(sample)
@@ -225,7 +279,10 @@ def related_pairs(
     if flat.size > cap:
         flat = flat[:: math.ceil(flat.size / cap)]
     rows, cols = np.divmod(flat, len(sample))
-    return [(sample[i], sample[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+    used = np.zeros(len(sample), dtype=bool)
+    used[rows] = used[cols] = True
+    remap = np.cumsum(used) - 1
+    return _PairSet(rel, list(compress(sample, used)), remap[rows], remap[cols])
 
 
 def estimate_lambda(
@@ -275,17 +332,20 @@ def compare_classical(
     displacement = np.maximum.reduce(
         [d_pair, d.at(points, images, i, i), d.at(points, images, j, j), d_cross]
     )
-    rows = tuple(
-        PairComparison(points[a], points[b], di, dp, m)
-        for a, b, di, dp, m in zip(
-            i.tolist(), j.tolist(), d_image.tolist(), d_pair.tolist(), displacement.tolist()
+
+    def row(k: int) -> PairComparison:
+        return PairComparison(
+            points[i[k]], points[j[k]],
+            float(d_image[k]), float(d_pair[k]), float(displacement[k]),
         )
-    )
+
     moved = d_image > 0.0
     banach = np.flatnonzero(moved & (d_image >= d_pair))
     mt = np.flatnonzero(moved & (d_image >= displacement))
     return ClassicalComparison(
-        rows, tuple(rows[k] for k in banach), tuple(rows[k] for k in mt)
+        _Lazy(i.size, row),
+        _Lazy(banach.size, lambda n: row(banach[n])),
+        _Lazy(mt.size, lambda n: row(mt[n])),
     )
 
 

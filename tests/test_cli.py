@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +86,37 @@ class TestVerifyExample:
         args = ["verify-example", "Ex2_4", "--step", step, "--out", str(tmp_path / "bad")]
         assert main(args) == STATUS_CHECK_FAILED
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def run_module(module, *args, cwd):
+    """``python -m module args`` with only the checkout's ``src`` on the path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", module, *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("module", ["relfix", "relfix.cli"])
+class TestModuleEntryPoints:
+    def test_verify_example_writes_report(self, module, tmp_path):
+        done = run_module(module, "verify-example", "Ex2_4", "--out", "out", cwd=tmp_path)
+        assert done.returncode == STATUS_OK, done.stderr
+        record = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert record["summary"]["all_pass"] is True
+
+    def test_bad_step_is_usage_error(self, module, tmp_path):
+        done = run_module(
+            module, "verify-example", "Ex2_4", "--step", "fine", "--out", "out", cwd=tmp_path
+        )
+        assert done.returncode == STATUS_USAGE
+        assert "--step" in done.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestSolveCommand:

@@ -1,5 +1,7 @@
 """Contraction estimation, classical comparisons, theorem verification."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,17 +9,22 @@ from relfix import (
     EstimationError,
     Grid,
     OverallVerdict,
+    PairComparison,
     PreconditionError,
+    RelfixError,
     SelfMap,
+    ShapeError,
     WDistance,
     compare_classical,
     estimate_lambda,
     related_pairs,
     sample_space,
     scalar,
+    universal_relation,
     verify_theorem,
 )
 from relfix.fixtures import (
+    FIXTURES,
     fbvp_fixture,
     ordered_halving_fixture,
     parity_successor_fixture,
@@ -152,6 +159,119 @@ class TestCompareClassical:
             HALVING.map, HALVING.wdistance, HALVING.relation, [pair(2.0, 1.0)]
         )
         assert est.lambda_hat < 1.0
+
+
+MALFORMED_PAIRS = [
+    pytest.param(estimate_lambda, HALVING.wdistance, [(scalar(1.0),)], id="estimate-1-tuple"),
+    pytest.param(
+        estimate_lambda, HALVING.wdistance, [(scalar(2.0), scalar(1.0), scalar(0.5))],
+        id="estimate-3-tuple",
+    ),
+    pytest.param(estimate_lambda, HALVING.wdistance, [pair(2.0, 1.0), None], id="estimate-none"),
+    pytest.param(compare_classical, HALVING.space, [scalar(1.0)], id="classical-bare-point"),
+    pytest.param(
+        compare_classical, HALVING.space, [pair(2.0, 1.0), (scalar(1.0),)],
+        id="classical-1-tuple",
+    ),
+]
+
+
+@pytest.mark.parametrize("check, metric, pairs", MALFORMED_PAIRS)
+def test_malformed_pair_entries_rejected(check, metric, pairs):
+    with pytest.raises(ShapeError, match="pair entries"):
+        check(HALVING.map, metric, HALVING.relation, pairs)
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of the error it raised."""
+    try:
+        return ("returned", fn(*args, **kwargs))
+    except RelfixError as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def fixture_sample(key, refine):
+    fx = FIXTURES[key]()
+    return fx, sample_space(fx.space, step=fx.default_step / refine)
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("key", sorted(FIXTURES))
+class TestPairSet:
+    """``related_pairs`` against the pair list it stands for, and the checks
+    on it against the same checks on that plain list."""
+
+    def test_reads_as_the_pair_list(self, key, refine):
+        fx, sample = fixture_sample(key, refine)
+        pairs = related_pairs(fx.relation, sample)
+        listed = [(x, y) for x in sample for y in sample if fx.relation(x, y)]
+        assert len(pairs) == len(listed) > 0
+        assert pairs[0] == listed[0] and pairs[-1] == listed[-1]
+        assert pairs[3:17] == listed[3:17] and pairs[::7] == listed[::7]
+        assert pairs[-5:1:-3] == listed[-5:1:-3]
+        assert pairs[:5] + pairs[-5:] == listed[:5] + listed[-5:]
+        assert [(id(x), id(y)) for x, y in pairs] == [(id(x), id(y)) for x, y in listed]
+        assert pairs == listed
+
+    def test_checks_match_the_plain_list(self, key, refine):
+        fx, sample = fixture_sample(key, refine)
+        p = fx.wdistance or WDistance.from_metric()
+        pairs = related_pairs(fx.relation, sample)
+        listed = list(pairs)
+        for include_diagonal in (False, True):
+            assert outcome(
+                estimate_lambda, fx.map, p, fx.relation, pairs, include_diagonal
+            ) == outcome(estimate_lambda, fx.map, p, fx.relation, listed, include_diagonal)
+
+        def record(ps):
+            return compare_classical(fx.map, fx.space, fx.relation, ps).to_record()
+
+        assert outcome(record, pairs) == outcome(record, listed)
+
+    def test_other_relation_is_rechecked(self, key, refine):
+        fx, sample = fixture_sample(key, refine)
+        p = fx.wdistance or WDistance.from_metric()
+        copied = dataclasses.replace(fx.relation)
+        assert copied is not fx.relation
+        own = related_pairs(fx.relation, sample)
+        assert outcome(estimate_lambda, fx.map, p, fx.relation, own) == outcome(
+            estimate_lambda, fx.map, p, fx.relation, related_pairs(copied, sample)
+        )
+        every = related_pairs(universal_relation(), sample)
+        with pytest.raises(PreconditionError, match="not related"):
+            estimate_lambda(fx.map, p, fx.relation, every)
+        with pytest.raises(PreconditionError, match="not related"):
+            compare_classical(fx.map, fx.space, fx.relation, every)
+
+
+def test_pair_set_index_out_of_range():
+    pairs = related_pairs(HALVING.relation, [scalar(v) for v in (1.0, 2.0)])
+    assert len(pairs) == 3
+    assert pairs[-3] == pairs[0]
+    for k in (3, -4):
+        with pytest.raises(IndexError):
+            pairs[k]
+
+
+def test_comparison_rows_built_only_when_read(monkeypatch):
+    sample = sample_space(HALVING.space, step=0.01)
+    pairs = related_pairs(HALVING.relation, sample)
+    built = []
+    init = PairComparison.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PairComparison, "__init__", counted_init)
+    comparison = compare_classical(HALVING.map, HALVING.space, HALVING.relation, pairs)
+    record = comparison.to_record()
+    first = comparison.rows[0]
+    assert isinstance(first, PairComparison) and (first.x, first.y) == pairs[0]
+    assert record["pairs"] == len(pairs) > 20_000
+    assert record["banach_failure_count"] == record["mt_failure_count"] == 7530
+    assert len(record["banach_failures"]) == len(record["mt_failures"]) == 10
+    assert len(built) <= 21
 
 
 class TestDistinctPoints:
