@@ -89,7 +89,6 @@ from .spaces import (
     function_space,
     grid_fn,
     interval_space,
-    metric_eval,
     point_distance,
     points_equal,
     sample_space,
@@ -123,7 +122,7 @@ __all__ = [
     "Grid", "ScalarPoint", "GridFn", "Point", "Interval", "FunctionSpace",
     "MetricSpace", "scalar", "grid_fn", "zero_grid_fn", "constant_grid_fn",
     "as_scalar", "as_values", "points_equal", "point_distance",
-    "interval_space", "function_space", "metric_eval", "sample_space",
+    "interval_space", "function_space", "sample_space",
     "Relation", "RelationProperty", "RelationReport", "Verdict",
     "SubsequenceWitness", "universal_relation", "is_preserving",
     "check_t_closed", "check_weak_t_closed", "find_start_points",

@@ -280,8 +280,8 @@ def cauchy_bound(lam: float, p01: float, n: int) -> float:
     """The geometric tail bound lambda^n * p01 / (1 - lambda)."""
     if not (0.0 <= lam < 1.0):
         raise DomainError(f"contraction factor must lie in [0, 1), got {lam!r}")
-    if p01 < 0.0:
-        raise DomainError("initial pair distance must be nonnegative")
+    if not p01 >= 0.0:
+        raise DomainError(f"initial pair distance must be nonnegative, got {p01!r}")
     if n < 0:
         raise DomainError("step index must be nonnegative")
     return lam**n * p01 / (1.0 - lam)
@@ -403,6 +403,8 @@ def probe_uniqueness(
     certifies uniqueness for them.  The verdict names the condition that
     certified uniqueness, or reports failure.
     """
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise DomainError(f"contraction factor must be a finite nonnegative real, got {lam!r}")
     if not (math.isfinite(decay_tol) and decay_tol >= 0.0):
         raise PreconditionError(f"decay_tol must be finite and nonnegative, got {decay_tol!r}")
     candidates = list(fp_candidates)

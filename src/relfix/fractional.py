@@ -182,6 +182,7 @@ def _second_differences(v: np.ndarray, h: float) -> np.ndarray:
 
 def caputo_derivative_nodes(x: GridFn, beta: float) -> np.ndarray:
     """Numeric Caputo derivative of order beta in (1, 2] at every node."""
+    _check_on_grid(x, None, "input")
     if not 1.0 < beta <= 2.0:
         raise DomainError(f"derivative order must lie in (1, 2], got {beta!r}")
     d2 = _second_differences(x.values, x.grid.h)
@@ -194,6 +195,7 @@ def caputo_residual(
     x: GridFn, beta: float, f: Callable[[float, float], float], t_index: int
 ) -> float:
     """|numeric Caputo derivative - f(t, x(t))| at one interior node."""
+    _check_on_grid(x, None, "input")
     n = x.grid.n
     if not 0 < t_index < n:
         raise PreconditionError(f"node index {t_index} is not interior to 0..{n}")

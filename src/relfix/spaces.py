@@ -1,9 +1,9 @@
-"""Points, grids, and the two concrete metric-space kinds.
+"""Points, grids, and the two concrete metric spaces.
 
 Two kinds of space are supported: real intervals (possibly half-open on the
-right) and spaces of grid functions on a uniform grid over [0, 1].  The grid
-metric is the maximum over nodes, the discrete stand-in for the sup norm.
-All values are immutable after construction, so every operation here is pure.
+right) and spaces of grid functions on a uniform grid over [0, 1].  A space
+only decides membership: the metric is always ``point_distance``, the max
+over nodes on grids.  All values are immutable, so every operation is pure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, SamplingError, ShapeError
+from .errors import DomainError, PreconditionError, SamplingError, ShapeError
 
 __all__ = [
     "Grid",
@@ -37,7 +37,7 @@ __all__ = [
     "describe_point",
     "interval_space",
     "function_space",
-    "metric_eval",
+    "check_space",
     "sample_space",
     "MAX_SAMPLE_POINTS",
     "MAX_GRID_N",
@@ -187,11 +187,11 @@ class Interval:
         if not (self.lo < self.hi):
             raise DomainError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def contains(self, value: float) -> bool:
+    def contains(self, point: Point) -> bool:
         # The open endpoint is decided by exact comparison, no epsilon.
-        if value < self.lo:
+        if not isinstance(point, ScalarPoint) or point.value < self.lo:
             return False
-        return value <= self.hi if self.hi_inclusive else value < self.hi
+        return point.value <= self.hi if self.hi_inclusive else point.value < self.hi
 
 
 @dataclass(frozen=True)
@@ -200,50 +200,29 @@ class FunctionSpace:
 
     grid: Grid
 
-
-Kind = Union[Interval, FunctionSpace]
-
-
-@dataclass(frozen=True)
-class MetricSpace:
-    """A space kind together with its metric.
-
-    When ``metric`` is omitted the canonical metric of the kind is used:
-    the absolute difference on intervals, the max over grid nodes on
-    function spaces.
-    """
-
-    kind: Kind
-    metric: Callable[[Point, Point], float] | None = None
-
     def contains(self, point: Point) -> bool:
-        if isinstance(self.kind, Interval):
-            return isinstance(point, ScalarPoint) and self.kind.contains(point.value)
-        return isinstance(point, GridFn) and point.grid == self.kind.grid
+        return isinstance(point, GridFn) and point.grid == self.grid
 
 
-def interval_space(lo: float, hi: float, hi_inclusive: bool = True) -> MetricSpace:
-    return MetricSpace(Interval(float(lo), float(hi), hi_inclusive))
+MetricSpace = Union[Interval, FunctionSpace]
 
 
-def function_space(grid: Grid) -> MetricSpace:
-    return MetricSpace(FunctionSpace(grid))
+def interval_space(lo: float, hi: float, hi_inclusive: bool = True) -> Interval:
+    return Interval(float(lo), float(hi), hi_inclusive)
 
 
-def metric_eval(space: MetricSpace, x: Point, y: Point) -> float:
-    """Evaluate the space metric; raises ``ShapeError`` on mismatched points."""
-    if isinstance(space.kind, Interval):
-        if not (isinstance(x, ScalarPoint) and isinstance(y, ScalarPoint)):
-            raise ShapeError("interval spaces hold scalar points only")
-    else:
-        if not (isinstance(x, GridFn) and isinstance(y, GridFn)):
-            raise ShapeError("function spaces hold grid functions only")
-        if x.grid != space.kind.grid or y.grid != space.kind.grid:
-            raise ShapeError("grid functions do not live on the space's grid")
-    dist = (space.metric or point_distance)(x, y)
-    if not (math.isfinite(dist) and dist >= 0.0):
-        raise DomainError(f"metric returned an invalid distance {dist!r}")
-    return float(dist)
+def function_space(grid: Grid) -> FunctionSpace:
+    return FunctionSpace(grid)
+
+
+def check_space(space: object, points: Sequence[Point] = ()) -> None:
+    """Raise ``ShapeError`` unless ``space`` is an interval or a function
+    space, and ``PreconditionError`` on the first of ``points`` outside it."""
+    if not isinstance(space, (Interval, FunctionSpace)):
+        raise ShapeError(f"expected an Interval or a FunctionSpace, got {type(space).__name__}")
+    for pt in points:
+        if not space.contains(pt):
+            raise PreconditionError(f"sample point {describe_point(pt)} lies outside the space")
 
 
 def _interval_lattice(iv: Interval, step: float) -> list[float]:
@@ -277,10 +256,11 @@ def sample_space(
     node values drawn uniformly from ``box``, preceded by the constant-zero
     function.  Identical arguments always produce identical samples.
     """
-    if isinstance(space.kind, Interval):
+    check_space(space)
+    if isinstance(space, Interval):
         if step is None or not (math.isfinite(step) and step > 0):
             raise SamplingError(f"interval sampling needs a finite step > 0, got {step!r}")
-        vals = _interval_lattice(space.kind, step)
+        vals = _interval_lattice(space, step)
         if not vals:
             raise SamplingError("interval sample is empty")
         return [ScalarPoint(v) for v in vals]
@@ -290,7 +270,7 @@ def sample_space(
     lo, hi = box
     if not lo < hi:
         raise SamplingError(f"empty sampling box {box!r}")
-    grid = space.kind.grid
+    grid = space.grid
     rng = np.random.default_rng(seed)
     out: list[Point] = [zero_grid_fn(grid)]
     for _ in range(count):

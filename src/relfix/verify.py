@@ -34,7 +34,7 @@ from .relations import (
     find_start_points,
     witness_d_self_closed,
 )
-from .spaces import MetricSpace, Point, describe_point, points_equal, row_blocks
+from .spaces import MetricSpace, Point, check_space, describe_point, points_equal, row_blocks
 from .wdistance import WDistance
 
 __all__ = [
@@ -321,17 +321,18 @@ def compare_classical(
     A pair lands in ``banach_failures`` when d(Tx, Ty) >= d(x, y) > 0 is
     impossible to dominate with any factor below 1, and in ``mt_failures``
     when d(Tx, Ty) >= M(x, y), which rules out every comparison function
-    that is strictly below the identity.
+    that is strictly below the identity.  Every paired point must lie in
+    ``space``; the images need not.
     """
     points, i, j = _index_pairs(rel, pairs)
+    check_space(space, points)
     images = map_.apply_all(points)
-    d = WDistance.from_space(space)
+    d = WDistance.from_metric()
     d_image = d.at(images, images, i, j)
     d_pair = d.at(points, points, i, j)
     d_cross = 0.5 * (d.at(points, images, i, j) + d.at(points, images, j, i))
-    displacement = np.maximum.reduce(
-        [d_pair, d.at(points, images, i, i), d.at(points, images, j, j), d_cross]
-    )
+    d_to_image = d.at(points, images, range(len(points)), range(len(points)))
+    displacement = np.maximum.reduce([d_pair, d_to_image[i], d_to_image[j], d_cross])
 
     def row(k: int) -> PairComparison:
         return PairComparison(
@@ -412,6 +413,7 @@ def verify_theorem(
     continuity-or-self-closedness alternative is decided on the self-closed
     branch, witnessed along the generated orbit against its final point.
     """
+    check_space(space)
     sample = list(sample)
     if not sample:
         raise PreconditionError("empty sample")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,13 +21,12 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .relations import Relation, Verdict, preserving_tail
 from .spaces import (
-    Interval,
     MetricSpace,
     Point,
     as_scalar,
+    check_space,
     describe_point,
     evaluate_pairs,
-    metric_eval,
     point_distance,
     row_blocks,
 )
@@ -113,15 +111,8 @@ class WDistance:
 
     @staticmethod
     def from_metric(name: str = "metric") -> "WDistance":
-        """The canonical point distance wrapped as a pair distance."""
+        """The metric of every space, ``point_distance``, as a pair distance."""
         return WDistance(name, point_distance, _abs_gap)
-
-    @staticmethod
-    def from_space(space: MetricSpace) -> "WDistance":
-        """The metric of ``space`` as a pair distance; it broadcasts when that
-        is the canonical metric of an interval."""
-        canonical = space.metric is None and isinstance(space.kind, Interval)
-        return WDistance("metric", partial(metric_eval, space), _abs_gap if canonical else None)
 
 
 @dataclass(frozen=True)
@@ -288,16 +279,18 @@ def check_w3(
 
     The ladder is searched top down, so the first success is the largest
     working delta; an epsilon with no working delta fails the axiom and the
-    violating triple at the smallest ladder delta is reported.
+    violating triple at the smallest ladder delta is reported.  Every
+    sample point must lie in ``space``.
     """
     sample = list(sample)
     if not sample:
         raise PreconditionError("empty sample")
     if not eps_grid or not all(math.isfinite(e) and e > 0 for e in eps_grid):
         raise PreconditionError(f"eps grid must be finite and positive, got {tuple(eps_grid)!r}")
+    check_space(space, sample)
 
     P = p.matrix(sample, sample)
-    D = WDistance.from_space(space).matrix(sample, sample)
+    D = WDistance.from_metric().matrix(sample, sample)
     rows = []
     for eps in eps_grid:
         found = None

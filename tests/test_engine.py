@@ -26,6 +26,7 @@ from relfix import (
     probe_uniqueness,
     sample_space,
     scalar,
+    universal_relation,
 )
 from relfix.engine import OrbitTrace
 from relfix.fixtures import ordered_halving_fixture, product_shrink_fixture
@@ -278,6 +279,30 @@ class TestOrbitProperties:
 )
 def test_cauchy_bound_monotone_property(lam, p01, n):
     assert cauchy_bound(lam, p01, n + 1) < cauchy_bound(lam, p01, n)
+
+
+def _identity_probe(lam):
+    # the identity fixes every point, so only z = 1 keeps p(T^n z, 1) within
+    # lam^n * p(z, 1); a NaN factor makes every such comparison false
+    sample = [scalar(v) for v in (0.0, 0.25, 0.75, 1.0)]
+    return probe_uniqueness(
+        universal_relation(), SelfMap.identity(), WDistance.from_metric(), lam,
+        [scalar(1.0)], sample,
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: _identity_probe(math.nan), id="probe-nan"),
+        pytest.param(lambda: _identity_probe(-0.5), id="probe-negative"),
+        pytest.param(lambda: cauchy_bound(0.5, math.nan, 2), id="cauchy-bound-nan-p01"),
+    ],
+)
+def test_nan_or_negative_inputs_rejected(call):
+    assert _identity_probe(0.5).z == scalar(1.0)
+    with pytest.raises(DomainError):
+        call()
 
 
 def _cauchy_with_tol(tol):

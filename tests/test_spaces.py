@@ -9,15 +9,22 @@ from relfix import (
     Grid,
     SamplingError,
     ShapeError,
+    WDistance,
+    caputo_derivative_nodes,
+    caputo_residual,
+    check_w3,
+    compare_classical,
     function_space,
     grid_fn,
     interval_space,
-    metric_eval,
+    point_distance,
     points_equal,
     sample_space,
     scalar,
+    verify_theorem,
     zero_grid_fn,
 )
+from relfix.fixtures import product_shrink_fixture
 from relfix.spaces import MAX_GRID_N
 
 
@@ -73,37 +80,65 @@ class TestGridAndPoints:
 
 class TestMetricEval:
     def test_interval_standard_metric(self):
-        space = interval_space(1.0, 3.0, hi_inclusive=False)
-        assert metric_eval(space, scalar(2.0), scalar(1.0)) == 1.0
+        assert point_distance(scalar(2.0), scalar(1.0)) == 1.0
 
     def test_grid_identity_case(self):
-        space = function_space(Grid(8))
         z = zero_grid_fn(Grid(8))
-        assert metric_eval(space, z, z) == 0.0
+        assert point_distance(z, z) == 0.0
 
     def test_grid_sup_of_t_vs_t_squared(self):
         # node values of |t - t^2| on n = 4: 0, .1875, .25, .1875, 0
         g = Grid(4)
-        space = function_space(g)
         x = grid_fn(g, g.nodes)
         y = grid_fn(g, g.nodes**2)
-        assert metric_eval(space, x, y) == 0.25
+        assert point_distance(x, y) == 0.25
 
     def test_mismatched_kinds_raise(self):
-        space = interval_space(0.0, 1.0)
         with pytest.raises(ShapeError):
-            metric_eval(space, scalar(0.5), zero_grid_fn(Grid(2)))
+            point_distance(scalar(0.5), zero_grid_fn(Grid(2)))
 
     def test_mismatched_grids_raise(self):
-        space = function_space(Grid(4))
         with pytest.raises(ShapeError):
-            metric_eval(space, zero_grid_fn(Grid(4)), zero_grid_fn(Grid(8)))
+            point_distance(zero_grid_fn(Grid(4)), zero_grid_fn(Grid(8)))
 
     def test_half_open_membership_is_exact(self):
         space = interval_space(1.0, 3.0, hi_inclusive=False)
         assert space.contains(scalar(1.0))
         assert not space.contains(scalar(3.0))
         assert space.contains(scalar(2.9999999999))
+
+
+SHRINK = product_shrink_fixture()
+SHRINK_SAMPLE = [scalar(v) for v in (0.0, 0.5, 1.0)]
+
+# Calls given None for a space, or a scalar for a grid function.
+NOT_THE_RIGHT_KIND = [
+    pytest.param(lambda: sample_space(None, step=0.1), id="sample_space"),
+    pytest.param(
+        lambda: check_w3(WDistance.from_metric(), None, SHRINK_SAMPLE, eps_grid=(0.5,)),
+        id="check_w3",
+    ),
+    pytest.param(
+        lambda: compare_classical(SHRINK.map, None, SHRINK.relation, [SHRINK_SAMPLE[:2]]),
+        id="compare_classical",
+    ),
+    pytest.param(
+        lambda: verify_theorem(
+            SHRINK.map, None, SHRINK.relation, SHRINK.wdistance, SHRINK_SAMPLE, scalar(1.0)
+        ),
+        id="verify_theorem",
+    ),
+    pytest.param(lambda: caputo_derivative_nodes(scalar(1.0), 1.5), id="caputo_derivative"),
+    pytest.param(
+        lambda: caputo_residual(scalar(1.0), 1.5, lambda t, x: 0.0, 1), id="caputo_residual"
+    ),
+]
+
+
+@pytest.mark.parametrize("call", NOT_THE_RIGHT_KIND)
+def test_wrong_kind_of_argument_is_a_shape_error(call):
+    with pytest.raises(ShapeError):
+        call()
 
 
 class TestSampling:
@@ -175,15 +210,14 @@ class TestSampling:
     )
 )
 def test_interval_metric_axioms_on_sampled_triples(values):
-    space = interval_space(-50.0, 50.0)
     pts = [scalar(v) for v in values]
     for x in pts:
-        assert metric_eval(space, x, x) == 0.0
+        assert point_distance(x, x) == 0.0
         for y in pts:
-            dxy = metric_eval(space, x, y)
-            assert dxy == metric_eval(space, y, x) >= 0.0
+            dxy = point_distance(x, y)
+            assert dxy == point_distance(y, x) >= 0.0
             for z in pts:
-                assert metric_eval(space, x, z) <= dxy + metric_eval(space, y, z) + 1e-12
+                assert point_distance(x, z) <= dxy + point_distance(y, z) + 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -192,9 +226,9 @@ def test_grid_metric_axioms_on_random_samples(seed):
     space = function_space(Grid(5))
     pts = sample_space(space, count=4, seed=seed, box=(-1.0, 1.0))
     for x in pts:
-        assert metric_eval(space, x, x) == 0.0
+        assert point_distance(x, x) == 0.0
         for y in pts:
-            dxy = metric_eval(space, x, y)
-            assert dxy == metric_eval(space, y, x)
+            dxy = point_distance(x, y)
+            assert dxy == point_distance(y, x)
             for z in pts:
-                assert metric_eval(space, x, z) <= dxy + metric_eval(space, y, z) + 1e-12
+                assert point_distance(x, z) <= dxy + point_distance(y, z) + 1e-12

@@ -2,8 +2,9 @@
 
 Every check runs twice: once on the fixture objects, whose elementwise forms
 are broadcast over the sample, and once on copies with the array form
-dropped (and a space whose metric is passed explicitly), which takes the
-per-pair loop.  The two runs must agree exactly, exceptions included.
+dropped, which takes the per-pair loop.  The two runs must agree exactly,
+exceptions included.  The metric, which has no per-pair copy, is compared
+with a plain ``point_distance`` loop instead.
 """
 
 import dataclasses
@@ -99,7 +100,7 @@ def battery(fx, sample):
 
 
 def per_pair_copy(fx):
-    """The fixture with every array form dropped and the metric explicit."""
+    """The fixture with every array form dropped."""
     drop = {"array": None}
     return dataclasses.replace(
         fx,
@@ -107,7 +108,6 @@ def per_pair_copy(fx):
         map=dataclasses.replace(fx.map, **drop),
         wdistance=fx.wdistance and dataclasses.replace(fx.wdistance, **drop),
         value_p=fx.value_p and dataclasses.replace(fx.value_p, **drop),
-        space=dataclasses.replace(fx.space, metric=point_distance),
     )
 
 
@@ -123,6 +123,25 @@ def test_broadcast_matches_per_pair_loop(key, refine):
     assert broadcast.keys() == looped.keys()
     for name in broadcast:
         assert broadcast[name] == looped[name], name
+
+
+def assert_metric_matches_point_distance(sample):
+    d = WDistance.from_metric()
+    loop = np.array([[point_distance(x, y) for y in sample] for x in sample])
+    assert d.matrix(sample, sample).tobytes() == loop.tobytes()
+    i, j = np.indices(loop.shape).reshape(2, -1)
+    assert d.at(sample, sample, i, j).tobytes() == loop.ravel().tobytes()
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("key", sorted(FIXTURES))
+def test_metric_matches_point_distance_loop(key, refine):
+    fx = FIXTURES[key]()
+    assert_metric_matches_point_distance(sample_space(fx.space, step=fx.default_step / refine))
+
+
+def test_metric_on_grid_functions_matches_point_distance_loop():
+    assert_metric_matches_point_distance(sample_space(function_space(Grid(8)), count=6, seed=3))
 
 
 class TestEvaluationPaths:

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relfix.wdistance
 from relfix import (
     EstimationError,
     Grid,
@@ -15,13 +16,17 @@ from relfix import (
     SelfMap,
     ShapeError,
     WDistance,
+    check_w3,
     compare_classical,
     estimate_lambda,
+    function_space,
+    point_distance,
     related_pairs,
     sample_space,
     scalar,
     universal_relation,
     verify_theorem,
+    zero_grid_fn,
 )
 from relfix.fixtures import (
     FIXTURES,
@@ -294,6 +299,53 @@ class TestDistinctPoints:
         assert comparison == compare_classical(
             HALVING.map, HALVING.space, HALVING.relation, pairs
         )
+
+    def test_point_moves_measured_once_per_distinct_point(self, monkeypatch):
+        # grid functions take the per-pair path, one metric call per distance
+        grid = Grid(4)
+        sample = sample_space(function_space(grid), count=4, seed=1)
+        halve = SelfMap.on_grids("halve", lambda v: v / 2.0)
+        rel = universal_relation()
+        pairs = related_pairs(rel, sample)
+        expected = compare_classical(halve, function_space(grid), rel, pairs)
+        calls = []
+
+        def counted(x, y):
+            calls.append(1)
+            return point_distance(x, y)
+
+        monkeypatch.setattr(relfix.wdistance, "point_distance", counted)
+        comparison = compare_classical(halve, function_space(grid), rel, pairs)
+        assert len(calls) == 4 * len(pairs) + len(sample)
+        assert comparison.to_record() == expected.to_record()
+        assert list(comparison.rows) == list(expected.rows)
+
+
+OUTSIDE_THE_SPACE = [
+    pytest.param(HALVING.space, [scalar(1.0), scalar(3.5)], id="interval"),
+    pytest.param(function_space(Grid(4)), [zero_grid_fn(Grid(4)), zero_grid_fn(Grid(8))],
+                 id="other-grid"),
+    pytest.param(function_space(Grid(4)), [zero_grid_fn(Grid(4)), scalar(0.0)],
+                 id="scalar-in-function-space"),
+]
+
+
+@pytest.mark.parametrize("space, sample", OUTSIDE_THE_SPACE)
+def test_sample_points_outside_the_space_rejected(space, sample):
+    rel = universal_relation()
+    with pytest.raises(PreconditionError, match="outside the space"):
+        compare_classical(SelfMap.identity(), space, rel, [tuple(sample)])
+    with pytest.raises(PreconditionError, match="outside the space"):
+        check_w3(WDistance.from_metric(), space, sample, eps_grid=(0.5,))
+
+
+def test_images_may_leave_the_space():
+    # Ex2_3's map halves [1, 2) into [0.5, 1), outside its space [1, 3)
+    fx = FIXTURES["Ex2_3"]()
+    sample = sample_space(fx.space, step=fx.default_step)
+    assert not all(fx.space.contains(pt) for pt in fx.map.apply_all(sample))
+    pairs = related_pairs(fx.relation, sample)
+    assert len(compare_classical(fx.map, fx.space, fx.relation, pairs).rows) == len(pairs) > 0
 
 
 class TestVerifyTheorem:
