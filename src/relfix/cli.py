@@ -9,6 +9,7 @@ the report passed; advisory findings are recorded but never affect status.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -513,7 +514,9 @@ def run_report(in_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="relfix",
         description="relation-constrained fixed-point verification and solving",

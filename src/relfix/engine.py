@@ -12,6 +12,7 @@ or an estimate from sampling; the engine never invents one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
@@ -24,13 +25,14 @@ from .spaces import (
     GridFn,
     Point,
     ScalarPoint,
+    ScalarSample,
+    as_sample,
     as_scalar,
     as_values,
     describe_point,
     point_distance,
     points_equal,
     row_blocks,
-    scalar_values,
 )
 from .wdistance import WDistance
 
@@ -92,14 +94,14 @@ class SelfMap:
     apply: Callable[[Point], Point]
     array: Callable | None = field(default=None, repr=False, compare=False)
 
-    def apply_all(self, points: Sequence[Point]) -> list[Point]:
-        """The image of every point, in order."""
-        values = scalar_values(points) if self.array is not None else None
-        if values is None:
-            return [self.apply(pt) for pt in points]
+    def apply_all(self, points: Sequence[Point]) -> Sequence[Point]:
+        """The image of every point, in order; a ``ScalarSample`` when the
+        array form maps them."""
+        sample = as_sample(points) if self.array is not None else points
+        if self.array is None or not isinstance(sample, ScalarSample):
+            return [self.apply(pt) for pt in sample]
         with np.errstate(all="ignore"):
-            images = np.broadcast_to(self.array(values), values.shape)
-        return [ScalarPoint(v) for v in images.tolist()]
+            return ScalarSample(np.broadcast_to(self.array(sample.values), len(sample)))
 
     @staticmethod
     def elementwise(name: str, fn: Callable) -> "SelfMap":
@@ -280,10 +282,10 @@ def cauchy_bound(lam: float, p01: float, n: int) -> float:
     """The geometric tail bound lambda^n * p01 / (1 - lambda)."""
     if not (0.0 <= lam < 1.0):
         raise DomainError(f"contraction factor must lie in [0, 1), got {lam!r}")
-    if not p01 >= 0.0:
-        raise DomainError(f"initial pair distance must be nonnegative, got {p01!r}")
-    if n < 0:
-        raise DomainError("step index must be nonnegative")
+    if not (math.isfinite(p01) and p01 >= 0.0):
+        raise DomainError(f"initial pair distance must be finite and nonnegative, got {p01!r}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise DomainError(f"step index must be a nonnegative integer, got {n!r}")
     return lam**n * p01 / (1.0 - lam)
 
 
@@ -322,7 +324,7 @@ def certify_limit_uniqueness(
     ``VANISH_TOL``), then asserts d(y, z) <= u[-1] + v[-1] + SEPARATION_SLACK
     in the point metric.
     """
-    xs = list(xs)
+    xs = as_sample(xs)
     u = [float(a) for a in u]
     v = [float(a) for a in v]
     if not xs or len(u) != len(xs) or len(v) != len(xs):

@@ -19,11 +19,13 @@ import numpy as np
 from .errors import PreconditionError
 from .spaces import (
     Point,
+    as_sample,
     as_scalar,
     as_values,
     describe_point,
     evaluate_pairs,
     point_distance,
+    take,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -135,7 +137,7 @@ class RelationReport:
 
 def is_preserving(rel: Relation, seq: Sequence[Point]) -> bool:
     """True iff every consecutive pair of the sequence is related."""
-    seq = list(seq)
+    seq = as_sample(seq)
     if len(seq) < 2:
         raise PreconditionError("a preserving check needs at least two points")
     k = np.arange(len(seq))
@@ -144,16 +146,16 @@ def is_preserving(rel: Relation, seq: Sequence[Point]) -> bool:
 
 def preserving_tail(
     rel: Relation, seq: Sequence[Point], limit: Point, tol: float, tail_fraction: float
-) -> tuple[list[Point], int]:
-    """``seq`` as a list and the length of its tail window, the last
-    ``tail_fraction`` of it; raises ``PreconditionError`` unless ``seq`` is a
-    ``rel``-preserving sequence of two or more entries ending within ``tol``
-    of ``limit``."""
+) -> tuple[Sequence[Point], int]:
+    """``seq`` through ``as_sample`` and the length of its tail window, the
+    last ``tail_fraction`` of it; raises ``PreconditionError`` unless ``seq``
+    is a ``rel``-preserving sequence of two or more entries ending within
+    ``tol`` of ``limit``."""
     if not 0.0 < tail_fraction <= 1.0:
         raise PreconditionError(f"tail fraction must lie in (0, 1], got {tail_fraction!r}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise PreconditionError(f"tolerance must be finite and nonnegative, got {tol!r}")
-    seq = list(seq)
+    seq = as_sample(seq)
     if len(seq) < 2:
         raise PreconditionError("need at least two sequence entries")
     if not is_preserving(rel, seq):
@@ -169,7 +171,7 @@ def preserving_tail(
 def _check_closed(
     rel: Relation, map_: "SelfMap", sample: Sequence[Point], either_order: bool
 ) -> RelationReport:
-    sample = list(sample)
+    sample = as_sample(sample)
     if not sample:
         raise PreconditionError("empty sample")
     images = map_.apply_all(sample)
@@ -193,19 +195,22 @@ def check_weak_t_closed(rel: Relation, map_: "SelfMap", sample: Sequence[Point])
     return _check_closed(rel, map_, sample, either_order=True)
 
 
-def find_start_points(rel: Relation, map_: "SelfMap", sample: Sequence[Point]) -> list[Point]:
-    """All sampled x with (x, map(x)) related; admissible iteration seeds."""
-    sample = list(sample)
+def find_start_points(
+    rel: Relation, map_: "SelfMap", sample: Sequence[Point]
+) -> Sequence[Point]:
+    """All sampled x with (x, map(x)) related, admissible iteration seeds,
+    as ``take`` gives them."""
+    sample = as_sample(sample)
     if not sample:
         raise PreconditionError("empty sample")
     k = np.arange(len(sample))
     starts = rel.at(sample, map_.apply_all(sample), k, k)
-    return [x for x, ok in zip(sample, starts) if ok]
+    return take(sample, np.flatnonzero(starts))
 
 
 def check_complete_on(rel: Relation, sample: Sequence[Point]) -> RelationReport:
     """Is every sampled pair, including the diagonal, related in some order?"""
-    sample = list(sample)
+    sample = as_sample(sample)
     if not sample:
         raise PreconditionError("empty sample")
     related = rel.matrix(sample, sample)

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Sequence, Union
+from functools import cache, cached_property
+from typing import Callable, Union
 
 import numpy as np
 
@@ -26,6 +28,7 @@ __all__ = [
     "Interval",
     "FunctionSpace",
     "MetricSpace",
+    "ScalarSample",
     "scalar",
     "grid_fn",
     "zero_grid_fn",
@@ -39,9 +42,10 @@ __all__ = [
     "function_space",
     "check_space",
     "sample_space",
+    "as_sample",
+    "take",
     "MAX_SAMPLE_POINTS",
     "MAX_GRID_N",
-    "scalar_values",
     "row_blocks",
     "evaluate_pairs",
 ]
@@ -225,19 +229,90 @@ def check_space(space: object, points: Sequence[Point] = ()) -> None:
             raise PreconditionError(f"sample point {describe_point(pt)} lies outside the space")
 
 
-def _interval_lattice(iv: Interval, step: float) -> list[float]:
+class _Lazy(Sequence):
+    """A read-only sequence of ``size`` items whose n-th item is built by
+    ``item(n)`` when it is read; slices are lists, and it equals any
+    sequence with the same items."""
+
+    def __init__(self, size: int, item: Callable[[int], object]):
+        self._size, self._item = size, item
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        return map(self._item, range(self._size))
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._item(n) for n in range(*k.indices(self._size))]
+        n = operator.index(k)
+        if not -self._size <= n < self._size:
+            raise IndexError("sequence index out of range")
+        return self._item(n % self._size)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        return list(other) + list(self)
+
+
+class ScalarSample(_Lazy):
+    """Scalar points over the finite float array ``values``, each built on
+    its first read and then kept; slices and ``take`` share those points."""
+
+    def __init__(self, values, item: Callable[[int], ScalarPoint] | None = None):
+        values = np.array(values, dtype=float)
+        if not np.isfinite(values).all():
+            ScalarPoint(values[~np.isfinite(values)][0])  # raises its DomainError
+        values.setflags(write=False)
+        self.values = values
+        super().__init__(values.size, item or cache(lambda n: ScalarPoint(values[n])))
+
+    def __getitem__(self, k):
+        return take(self, k) if isinstance(k, slice) else super().__getitem__(k)
+
+
+def take(sample: Sequence[Point], index) -> Sequence[Point]:
+    """The items of ``sample`` at ``index``, an index array (or a slice of a
+    ``ScalarSample``): a ``ScalarSample`` of the same point objects when
+    ``sample`` is one, otherwise a list."""
+    if not isinstance(sample, ScalarSample):
+        return [sample[k] for k in index]
+    slots = np.arange(len(sample))[index]
+    return ScalarSample(sample.values[index], lambda n: sample[slots[n]])
+
+
+def as_sample(points: Sequence[Point]) -> Sequence[Point]:
+    """A ``ScalarSample`` unchanged, other scalar points as a ``ScalarSample``
+    of those same point objects, and grid functions as a list."""
+    if isinstance(points, ScalarSample):
+        return points
+    points = list(points)
+    if not all(isinstance(pt, ScalarPoint) for pt in points):
+        return points
+    values = np.fromiter((pt.value for pt in points), dtype=float, count=len(points))
+    return ScalarSample(values, points.__getitem__)
+
+
+def _interval_lattice(iv: Interval, step: float) -> np.ndarray:
     span = iv.hi - iv.lo
     ratio = span / step + 1e-9
     if not ratio < MAX_SAMPLE_POINTS:
         raise SamplingError(
             f"step {step!r} gives more than {MAX_SAMPLE_POINTS} points on [{iv.lo}, {iv.hi}]"
         )
-    last = int(math.floor(ratio))
-    vals = [iv.lo + i * step for i in range(last + 1)]
-    if vals and math.isclose(vals[-1], iv.hi, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(iv.hi))):
+    vals = iv.lo + np.arange(int(math.floor(ratio)) + 1) * step
+    if math.isclose(vals[-1], iv.hi, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(iv.hi))):
         vals[-1] = iv.hi
         if not iv.hi_inclusive:
-            vals.pop()
+            vals = vals[:-1]
     return vals
 
 
@@ -248,42 +323,38 @@ def sample_space(
     count: int | None = None,
     seed: int = 0,
     box: tuple[float, float] = (0.0, 2.0),
-) -> list[Point]:
+) -> ScalarSample | list[GridFn]:
     """Deterministic finite sample of the space.
 
     Intervals are sampled on the lattice ``lo, lo + step, ...`` honoring the
-    open endpoint.  Function spaces get ``count`` random grid functions with
-    node values drawn uniformly from ``box``, preceded by the constant-zero
-    function.  Identical arguments always produce identical samples.
+    open endpoint, as a ``ScalarSample`` over the lattice values.  Function
+    spaces get a list of ``count`` random grid functions with node values
+    drawn uniformly from ``box``, preceded by the constant-zero function.
+    Identical arguments always produce identical samples.
     """
     check_space(space)
     if isinstance(space, Interval):
         if step is None or not (math.isfinite(step) and step > 0):
             raise SamplingError(f"interval sampling needs a finite step > 0, got {step!r}")
         vals = _interval_lattice(space, step)
-        if not vals:
+        if not vals.size:
             raise SamplingError("interval sample is empty")
-        return [ScalarPoint(v) for v in vals]
+        return ScalarSample(vals)
 
-    if count is None or count < 1:
-        raise SamplingError("function-space sampling needs count > 0")
-    lo, hi = box
-    if not lo < hi:
-        raise SamplingError(f"empty sampling box {box!r}")
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise SamplingError(f"function-space sampling needs an integer count > 0, got {count!r}")
+    try:
+        lo, hi = box
+    except ValueError:
+        raise SamplingError(f"sampling box must be a pair (lo, hi), got {box!r}") from None
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise SamplingError(f"sampling box must be finite and nonempty, got {box!r}")
     grid = space.grid
     rng = np.random.default_rng(seed)
-    out: list[Point] = [zero_grid_fn(grid)]
+    out: list[GridFn] = [zero_grid_fn(grid)]
     for _ in range(count):
         out.append(GridFn(grid, rng.uniform(lo, hi, grid.n + 1)))
     return out
-
-
-def scalar_values(points: Sequence[Point]) -> np.ndarray | None:
-    """The values of an all-scalar point sequence as a float array, or None
-    when some point is not a ``ScalarPoint``."""
-    if not all(isinstance(pt, ScalarPoint) for pt in points):
-        return None
-    return np.fromiter((pt.value for pt in points), dtype=float, count=len(points))
 
 
 def row_blocks(rows: int, width: int):
@@ -309,18 +380,19 @@ def evaluate_pairs(
     off the ``where`` mask hold ``fill``, whose type is that of the result.
 
     When ``array`` is given and every point is a ``ScalarPoint`` it is
-    broadcast over the point values, a block of rows at a time; otherwise
-    ``fn`` runs once per pair inside the mask, a row at a time.  This is the
-    only place the two evaluation paths part.
+    broadcast over the values of ``as_sample``, a block of rows at a time;
+    otherwise ``fn`` runs once per pair inside the mask, a row at a time.
+    This is the only place the two evaluation paths part.
     """
     if at is not None:
         i, j = (np.asarray(k, dtype=np.intp) for k in at)
         if i.shape != j.shape:
             raise ShapeError(f"cannot align {len(i)} indices with {len(j)}")
     out = np.full((len(xs), len(ys)) if at is None else i.shape, fill)
-    vx = scalar_values(xs) if array is not None else None
-    vy = vx if ys is xs else scalar_values(ys) if vx is not None else None
-    if vy is not None:
+    if array is not None:
+        xs, ys = as_sample(xs), as_sample(ys)
+    if array is not None and isinstance(xs, ScalarSample) and isinstance(ys, ScalarSample):
+        vx, vy = xs.values, ys.values
         blocks = row_blocks(len(xs), len(ys)) if at is None else [slice(None)]
         with np.errstate(all="ignore"):
             for rows in blocks:

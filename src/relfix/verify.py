@@ -17,11 +17,9 @@ every pair on which either comparison test fails.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 from typing import Callable
 
 import numpy as np
@@ -34,7 +32,17 @@ from .relations import (
     find_start_points,
     witness_d_self_closed,
 )
-from .spaces import MetricSpace, Point, check_space, describe_point, points_equal, row_blocks
+from .spaces import (
+    MetricSpace,
+    Point,
+    _Lazy,
+    as_sample,
+    check_space,
+    describe_point,
+    points_equal,
+    row_blocks,
+    take,
+)
 from .wdistance import WDistance
 
 __all__ = [
@@ -95,36 +103,11 @@ class PairComparison:
         }
 
 
-class _Lazy(Sequence):
-    """A read-only sequence of ``size`` items whose n-th item is built by
-    ``item(n)`` when it is read; slices are lists, and it equals any
-    sequence with the same items."""
-
-    def __init__(self, size: int, item: Callable[[int], object]):
-        self._size, self._item = size, item
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self._item(n) for n in range(*k.indices(self._size))]
-        n = operator.index(k)
-        if not -self._size <= n < self._size:
-            raise IndexError("sequence index out of range")
-        return self._item(n % self._size)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-
 class _PairSet(_Lazy):
     """Pairs ``(points[i[k]], points[j[k]])``, all related under
     ``relation``."""
 
-    def __init__(self, relation: Relation, points: list[Point], i: np.ndarray, j: np.ndarray):
+    def __init__(self, relation: Relation, points: Sequence[Point], i: np.ndarray, j: np.ndarray):
         super().__init__(i.size, lambda k: (points[i[k]], points[j[k]]))
         self.relation, self.points, self.i, self.j = relation, points, i, j
 
@@ -235,7 +218,7 @@ class _WorstRatio:
 
 def _index_pairs(
     rel: Relation, pairs: Sequence[tuple[Point, Point]]
-) -> tuple[list[Point], np.ndarray, np.ndarray]:
+) -> tuple[Sequence[Point], np.ndarray, np.ndarray]:
     """The pairs' distinct points and index arrays with
     ``pairs[k] == (points[i[k]], points[j[k]])``, all related under ``rel``.
 
@@ -256,7 +239,7 @@ def _index_pairs(
                 raise ShapeError(f"pair entries must be (x, y), got {pair!r}") from None
             i.append(index.setdefault(x, len(index)))
             j.append(index.setdefault(y, len(index)))
-        points = list(index)
+        points = as_sample(index)
         i, j = np.array(i, dtype=np.intp), np.array(j, dtype=np.intp)
     if not rel.at(points, points, i, j).all():
         raise PreconditionError(f"pair is not related under {rel.name}")
@@ -274,7 +257,7 @@ def related_pairs(
     ``compare_classical`` read those arrays directly."""
     if cap < 1:
         raise PreconditionError(f"pair cap must be at least 1, got {cap!r}")
-    sample = list(sample)
+    sample = as_sample(sample)
     flat = np.flatnonzero(rel.matrix(sample, sample))
     if flat.size > cap:
         flat = flat[:: math.ceil(flat.size / cap)]
@@ -282,7 +265,7 @@ def related_pairs(
     used = np.zeros(len(sample), dtype=bool)
     used[rows] = used[cols] = True
     remap = np.cumsum(used) - 1
-    return _PairSet(rel, list(compress(sample, used)), remap[rows], remap[cols])
+    return _PairSet(rel, take(sample, np.flatnonzero(used)), remap[rows], remap[cols])
 
 
 def estimate_lambda(
@@ -354,7 +337,7 @@ def _sample_estimates(
     map_: SelfMap,
     p: WDistance,
     rel: Relation,
-    sample: list[Point],
+    sample: Sequence[Point],
     pair_cap: int,
 ) -> tuple[ContractionEstimate, ContractionEstimate]:
     """The estimates without and with the diagonal over the related sample
@@ -414,7 +397,7 @@ def verify_theorem(
     branch, witnessed along the generated orbit against its final point.
     """
     check_space(space)
-    sample = list(sample)
+    sample = as_sample(sample)
     if not sample:
         raise PreconditionError("empty sample")
     if pair_cap < 1:

@@ -23,6 +23,7 @@ from .relations import Relation, Verdict, preserving_tail
 from .spaces import (
     MetricSpace,
     Point,
+    as_sample,
     as_scalar,
     check_space,
     describe_point,
@@ -181,7 +182,7 @@ def check_triangle(p: WDistance, sample: Sequence[Point]) -> AxiomReport:
     The triples are scanned a block of first points x at a time, so memory
     grows with the square of the sample size, not its cube.
     """
-    sample = list(sample)
+    sample = as_sample(sample)
     if not sample:
         raise PreconditionError("empty sample")
     m = len(sample)
@@ -282,7 +283,7 @@ def check_w3(
     violating triple at the smallest ladder delta is reported.  Every
     sample point must lie in ``space``.
     """
-    sample = list(sample)
+    sample = as_sample(sample)
     if not sample:
         raise PreconditionError("empty sample")
     if not eps_grid or not all(math.isfinite(e) and e > 0 for e in eps_grid):

@@ -1,5 +1,6 @@
 """Command-line front end: batteries, config handling, artifacts."""
 
+import argparse
 import csv
 import json
 import os
@@ -16,12 +17,13 @@ from relfix.cli import (
     STATUS_OK,
     STATUS_USAGE,
     _write_solution_csv,
+    build_parser,
     main,
     parse_config,
 )
 from relfix.engine import OrbitTrace, StopReason
 from relfix.errors import ConfigError
-from relfix.spaces import Grid, grid_fn, scalar
+from relfix.spaces import Grid, ScalarPoint, grid_fn, scalar
 
 
 GOOD_CONFIG = """
@@ -117,6 +119,72 @@ class TestModuleEntryPoints:
         assert done.returncode == STATUS_USAGE
         assert "--step" in done.stderr
         assert not (tmp_path / "out").exists()
+
+
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "fbvp.cfg"
+
+
+class TestRepeatedInProcessRuns:
+    """``main`` called again and again in one process, as tests, notebooks
+    and the benchmark call it."""
+
+    RUNS = [
+        ["verify-example", "Ex2_4", "--out", "run0"],
+        ["solve-fbvp", "--config", str(DEMO_CONFIG), "--out", "run1"],
+        ["verify-example", "Ex9_9", "--out", "run2"],
+        ["report", "--in", "run0"],
+        ["verify-example", "Ex2_4", "--step", "0.005", "--out", "run4"],
+    ]
+
+    def test_reused_parser_matches_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at this width
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        here, fresh = tmp_path / "in_process", tmp_path / "fresh"
+        here.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(here)
+        statuses = []
+        for args in self.RUNS:
+            try:
+                status = main(args)
+            except SystemExit as exc:
+                status = exc.code
+            captured = capsys.readouterr()
+            done = run_module("relfix", *args, cwd=fresh)
+            assert (status, captured.out, captured.err) == (
+                done.returncode, done.stdout, done.stderr
+            ), args
+            statuses.append(status)
+        assert statuses == [STATUS_OK, STATUS_OK, STATUS_USAGE, STATUS_OK, STATUS_OK]
+        # the parser and its three subcommand parsers, each built once
+        assert built.count("relfix") == 1 and len(built) == 4
+        files = sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(here) for p in here.rglob("*") if p.is_file())
+        assert len(files) == 7
+        for name in files:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_fine_interval_sample_builds_only_the_points_read(self, tmp_path, monkeypatch):
+        built = []
+        post_init = ScalarPoint.__post_init__
+
+        def counted_post_init(point):
+            built.append(1)
+            post_init(point)
+
+        monkeypatch.setattr(ScalarPoint, "__post_init__", counted_post_init)
+        args = ["verify-example", "Ex1_13", "--step", "0.001", "--out", str(tmp_path / "out")]
+        assert main(args) == STATUS_OK
+        # the sample has 6,001 points; the battery reads none of them
+        assert len(built) < 200
 
 
 class TestSolveCommand:

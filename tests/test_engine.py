@@ -297,6 +297,8 @@ def _identity_probe(lam):
         pytest.param(lambda: _identity_probe(math.nan), id="probe-nan"),
         pytest.param(lambda: _identity_probe(-0.5), id="probe-negative"),
         pytest.param(lambda: cauchy_bound(0.5, math.nan, 2), id="cauchy-bound-nan-p01"),
+        pytest.param(lambda: cauchy_bound(0.0, math.inf, 1), id="cauchy-bound-inf-p01"),
+        pytest.param(lambda: cauchy_bound(0.5, 1.0, 1.5), id="cauchy-bound-fractional-n"),
     ],
 )
 def test_nan_or_negative_inputs_rejected(call):

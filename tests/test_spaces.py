@@ -1,5 +1,7 @@
 """Space, point, and sampling behavior."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from relfix import (
     DomainError,
     Grid,
     SamplingError,
+    SelfMap,
     ShapeError,
     WDistance,
     caputo_derivative_nodes,
@@ -25,7 +28,7 @@ from relfix import (
     zero_grid_fn,
 )
 from relfix.fixtures import product_shrink_fixture
-from relfix.spaces import MAX_GRID_N
+from relfix.spaces import MAX_GRID_N, ScalarPoint, ScalarSample
 
 
 class TestGridAndPoints:
@@ -190,6 +193,26 @@ class TestSampling:
         with pytest.raises(SamplingError):
             sample_space(function_space(Grid(2)), count=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param(dict(count=2.5), id="fractional-count"),
+            pytest.param(dict(count=math.nan), id="nan-count"),
+            pytest.param(dict(count=True), id="bool-count"),
+            pytest.param(dict(count=2, box=(0.0, math.inf)), id="infinite-box"),
+            pytest.param(dict(count=2, box=(-1e308, 1e308)), id="overflowing-box"),
+            pytest.param(dict(count=2, box=(math.nan, 1.0)), id="nan-box"),
+            pytest.param(dict(count=2, box=(0.0,)), id="one-sided-box"),
+        ],
+    )
+    def test_bad_function_space_request_rejected(self, kwargs):
+        with pytest.raises(SamplingError):
+            sample_space(function_space(Grid(4)), **kwargs)
+
+    def test_numpy_integer_count_accepted(self):
+        pts = sample_space(function_space(Grid(4)), count=np.int64(3), seed=7)
+        assert len(pts) == 4
+
     @pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_step_rejected(self, step):
         with pytest.raises(SamplingError):
@@ -199,6 +222,58 @@ class TestSampling:
     def test_oversized_lattice_rejected_before_it_is_built(self, step):
         with pytest.raises(SamplingError, match="more than 1000000 points"):
             sample_space(interval_space(0.0, 2.0), step=step)
+
+
+class TestScalarSample:
+    """An interval sample reads as the list of points it stands for."""
+
+    def setup_method(self):
+        self.sample = sample_space(interval_space(0.0, 2.0), step=0.25)
+        self.listed = [scalar(0.25 * k) for k in range(9)]
+
+    def test_holds_the_lattice_as_a_read_only_array(self):
+        assert isinstance(self.sample, ScalarSample)
+        assert len(self.sample) == 9
+        assert self.sample.values.tolist() == [pt.value for pt in self.listed]
+        with pytest.raises(ValueError):
+            self.sample.values[0] = 5.0
+
+    @pytest.mark.parametrize("k", [0, 3, 8, -1, -9, np.intp(4), np.int64(-2)])
+    def test_indexing(self, k):
+        assert self.sample[k] == self.listed[k]
+
+    @pytest.mark.parametrize("k", [9, -10, np.intp(9)])
+    def test_index_out_of_range(self, k):
+        with pytest.raises(IndexError):
+            self.sample[k]
+
+    @pytest.mark.parametrize(
+        "k", [slice(2, 5), slice(None, None, 3), slice(-2, 1, -2), slice(4, 4)]
+    )
+    def test_slices_are_samples_of_the_same_points(self, k):
+        part = self.sample[k]
+        assert isinstance(part, ScalarSample)
+        assert part == self.listed[k]
+        assert part.values.tolist() == [pt.value for pt in self.listed[k]]
+        assert [id(pt) for pt in part] == [id(pt) for pt in list(self.sample)[k]]
+
+    def test_equals_the_list_and_keeps_each_point(self):
+        assert self.sample == self.listed and self.listed == self.sample
+        assert self.sample != self.listed[:-1]
+        assert self.sample[0] is self.sample[0]
+        assert all(type(pt) is ScalarPoint for pt in self.sample)
+
+    def test_concatenates_with_lists(self):
+        head = [scalar(-1.0)]
+        assert head + self.sample == head + self.listed
+        assert self.sample + head == self.listed + head
+
+    def test_map_to_infinity_rejected_when_the_sample_is_mapped(self):
+        blow_up = SelfMap.elementwise("blow_up", lambda v: np.where(v > 1.0, np.inf, v))
+        with pytest.raises(DomainError, match="must be finite, got inf"):
+            blow_up.apply_all(self.sample)
+        images = blow_up.apply_all(self.sample[:4])
+        assert isinstance(images, ScalarSample) and images == self.listed[:4]
 
 
 @settings(max_examples=50, deadline=None)
