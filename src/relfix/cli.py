@@ -19,6 +19,7 @@ import numpy as np
 
 from .engine import CSV_BLOCK_ROWS, UniquenessVerdict, certify_cauchy, iterate, probe_uniqueness
 from .errors import ConfigError, DivergenceError, PreconditionError, RelfixError
+from .errors import check_count, check_real
 from .fixtures import FIXTURES, F_REGISTRY, Fixture
 from .fractional import FbvpProblem, OperatorVariant, solve_fbvp
 from .relations import (
@@ -416,11 +417,8 @@ def build_problem(raw: dict) -> tuple[FbvpProblem, float, int]:
         )
     except RelfixError as exc:
         raise ConfigError(str(exc))
-    tol, max_iter = values.get("tol", 1e-8), values.get("max_iter", 500)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError(f"field 'tol' must be finite and positive, got {tol!r}")
-    if max_iter < 1:
-        raise ConfigError(f"field 'max_iter' must be at least 1, got {max_iter!r}")
+    tol = check_real(values.get("tol", 1e-8), "field 'tol'", ConfigError, ends="()")
+    max_iter = check_count(values.get("max_iter", 500), "field 'max_iter'", ConfigError, 1)
     return problem, tol, max_iter
 
 

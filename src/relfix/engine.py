@@ -12,14 +12,13 @@ or an estimate from sampling; the engine never invents one.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, PreconditionError
+from .errors import DivergenceError, DomainError, PreconditionError, check_count, check_real
 from .relations import Relation, check_complete_on
 from .spaces import (
     GridFn,
@@ -240,14 +239,10 @@ def iterate(
     Divergence (a gap beyond 1e8 or a non-finite iterate) raises
     ``DivergenceError`` carrying the last finite portion of the trace.
     """
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise DomainError(f"contraction factor must be a finite nonnegative real, got {lam!r}")
-    if max_iter < 1:
-        raise PreconditionError("max_iter must be at least 1")
-    if tol is None:
-        tol = default_tolerance(x0)
-    if not (math.isfinite(tol) and tol > 0):
-        raise PreconditionError(f"tolerance must be finite and positive, got {tol!r}")
+    check_real(lam, "contraction factor", DomainError)
+    max_iter = check_count(max_iter, "max_iter", PreconditionError, 1)
+    tol = default_tolerance(x0) if tol is None else tol
+    check_real(tol, "tolerance", PreconditionError, ends="()")
 
     points: list[Point] = [x0]
     d_gaps: list[float] = []
@@ -280,19 +275,15 @@ def iterate(
 
 def cauchy_bound(lam: float, p01: float, n: int) -> float:
     """The geometric tail bound lambda^n * p01 / (1 - lambda)."""
-    if not (0.0 <= lam < 1.0):
-        raise DomainError(f"contraction factor must lie in [0, 1), got {lam!r}")
-    if not (math.isfinite(p01) and p01 >= 0.0):
-        raise DomainError(f"initial pair distance must be finite and nonnegative, got {p01!r}")
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise DomainError(f"step index must be a nonnegative integer, got {n!r}")
+    check_real(lam, "contraction factor", DomainError, 0.0, 1.0, "[)")
+    check_real(p01, "initial pair distance", DomainError)
+    check_count(n, "step index", DomainError, 0)
     return lam**n * p01 / (1.0 - lam)
 
 
 def certify_cauchy(trace: OrbitTrace, p: WDistance, tol: float = 1e-10) -> CauchyCheck:
     """Check p(x_n, x_m) <= u_n + tol for every recorded index pair n < m."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise PreconditionError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    check_real(tol, "tolerance", PreconditionError)
     pts = trace.points
     if not pts:
         raise PreconditionError("empty trace")
@@ -325,18 +316,14 @@ def certify_limit_uniqueness(
     in the point metric.
     """
     xs = as_sample(xs)
-    u = [float(a) for a in u]
-    v = [float(a) for a in v]
     if not xs or len(u) != len(xs) or len(v) != len(xs):
         raise PreconditionError("xs, u, v must be nonempty and of equal length")
-    if u[-1] > VANISH_TOL or v[-1] > VANISH_TOL:
-        raise PreconditionError(
-            f"bound sequences have not vanished: final values {u[-1]:.3e}, {v[-1]:.3e}"
-        )
+    check_real(u[-1], "final bound u_N", PreconditionError, 0.0, VANISH_TOL)
+    check_real(v[-1], "final bound v_N", PreconditionError, 0.0, VANISH_TOL)
     for n, x in enumerate(xs):
-        if p(x, y) > u[n]:
+        if not p(x, y) <= u[n]:  # so that a NaN bound fails too
             raise PreconditionError(f"hypothesis p(x_n, y) <= u_n fails at n = {n}")
-        if p(x, z) > v[n]:
+        if not p(x, z) <= v[n]:
             raise PreconditionError(f"hypothesis p(x_n, z) <= v_n fails at n = {n}")
     return point_distance(y, z) <= u[-1] + v[-1] + SEPARATION_SLACK
 
@@ -405,10 +392,8 @@ def probe_uniqueness(
     certifies uniqueness for them.  The verdict names the condition that
     certified uniqueness, or reports failure.
     """
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise DomainError(f"contraction factor must be a finite nonnegative real, got {lam!r}")
-    if not (math.isfinite(decay_tol) and decay_tol >= 0.0):
-        raise PreconditionError(f"decay_tol must be finite and nonnegative, got {decay_tol!r}")
+    check_real(lam, "contraction factor", DomainError)
+    check_real(decay_tol, "decay_tol", PreconditionError)
     candidates = list(fp_candidates)
     if not candidates:
         raise PreconditionError("no fixed-point candidates supplied")
@@ -430,12 +415,13 @@ def probe_uniqueness(
     # Condition 1: a common relation ancestor with geometrically decaying
     # pair distance to every candidate.
     images = map_.apply_all(sample)
-    z_pool = ([z_hint] if z_hint is not None else []) + images
-    related_to_all = rel.matrix(z_pool, candidates).all(axis=1)
+    ancestors = (  # the hint first, then the images; points built only when reached
+        pool[k]
+        for pool in ([z_hint] if z_hint is not None else [], images)
+        for k in np.flatnonzero(rel.matrix(pool, candidates).all(axis=1)).tolist()
+    )
     found_related_z = False
-    for z, related in zip(z_pool, related_to_all):
-        if not related:
-            continue
+    for z in ancestors:
         found_related_z = True
         if _geometric_decay_holds(map_, p, lam, z, candidates, decay_tol):
             if separated:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SelfMap
+from .errors import check_real
 from .fractional import FbvpProblem, apply_operator
 from .relations import Relation
 from .spaces import (
@@ -227,8 +228,7 @@ def fbvp_fixture(problem: FbvpProblem) -> Fixture:
 
 
 def constant_source(c: float):
-    if c < 0.0:
-        raise ValueError("constant source must be nonnegative")
+    check_real(c, "constant source", ValueError)
 
     def f(t, x):
         return np.full_like(np.asarray(t, dtype=float), float(c))
@@ -238,8 +238,7 @@ def constant_source(c: float):
 
 def sine_mix_source(a: float):
     """a * (1 + t + sin(x)^2); Lipschitz in x with constant a."""
-    if a < 0.0:
-        raise ValueError("scale must be nonnegative")
+    check_real(a, "scale", ValueError)
 
     def f(t, x):
         t = np.asarray(t, dtype=float)
@@ -251,8 +250,7 @@ def sine_mix_source(a: float):
 
 def affine_source(a: float):
     """a * (1 + x); Lipschitz in x with constant a."""
-    if a < 0.0:
-        raise ValueError("scale must be nonnegative")
+    check_real(a, "scale", ValueError)
 
     def f(t, x):
         t = np.asarray(t, dtype=float)

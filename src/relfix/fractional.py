@@ -52,6 +52,7 @@ from numpy.fft import irfft, rfft
 
 from .engine import OrbitTrace, SelfMap, iterate
 from .errors import ContractionWarning, DomainError, PreconditionError, ShapeError
+from .errors import check_count, check_real
 from .spaces import Grid, GridFn, zero_grid_fn
 from .wdistance import WDistance
 
@@ -75,9 +76,7 @@ __all__ = [
 def gamma_fn(z: float) -> float:
     """Gamma function on the positive half line, up to where a float holds it
     (z of about 171.6)."""
-    z = float(z)
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError(f"gamma_fn is defined for z > 0 only, got {z!r}")
+    z = check_real(z, "gamma_fn argument", DomainError, ends="()")
     try:
         return math.gamma(z)
     except OverflowError:
@@ -115,9 +114,9 @@ def _lag_weights(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Convolution kernel and node-0 correction of the order-beta rule: node
     i weighs node j >= 1 by ``kernel[i - j]`` and node 0, which carries half
     a hat, by ``kernel[i] - right[i]``, as ``_node_weights`` at tau = i."""
+    c = n**-beta / gamma_fn(beta + 2.0)  # raises on too large an order before numpy overflows
     m = np.arange(n + 1, dtype=float)
     up, down = _steps(beta + 1.0, m)
-    c = n**-beta / gamma_fn(beta + 2.0)
     return c * (up + down), c * (up - (beta + 1.0) * m**beta)
 
 
@@ -146,13 +145,12 @@ def _check_on_grid(x, grid: Grid | None, name: str) -> None:
 
 def rl_integral_nodes(values: np.ndarray, beta: float, grid: Grid) -> np.ndarray:
     """Fractional integral of order beta evaluated at every grid node."""
-    if beta <= 0.0:
-        raise DomainError(f"integral order must be positive, got {beta!r}")
+    beta = check_real(beta, "integral order", DomainError, ends="()")
     values = np.asarray(values, dtype=float)
     n = grid.n
     if values.shape != (n + 1,):
         raise ShapeError(f"expected {n + 1} node values, got shape {values.shape}")
-    kernel, right = _lag_weights(float(beta), n)
+    kernel, right = _lag_weights(beta, n)
     return np.convolve(kernel, values)[: n + 1] - right * values[0]
 
 
@@ -160,12 +158,8 @@ def rl_integral(values: GridFn, beta: float, t_index: int) -> float:
     """Fractional integral of order beta at one grid node."""
     _check_on_grid(values, None, "values")
     n = values.grid.n
-    if not 0 <= t_index <= n:
-        raise DomainError(f"node index {t_index} outside 0..{n}")
-    if beta <= 0.0:
-        raise DomainError(f"integral order must be positive, got {beta!r}")
-    kernel, right = _lag_weights(float(beta), n)
-    v, i = values.values, t_index
+    v, i = values.values, check_count(t_index, "node index", DomainError, 0, n)
+    kernel, right = _lag_weights(check_real(beta, "integral order", DomainError, ends="()"), n)
     return float(kernel[i::-1] @ v[: i + 1] - right[i] * v[0])
 
 
@@ -183,8 +177,7 @@ def _second_differences(v: np.ndarray, h: float) -> np.ndarray:
 def caputo_derivative_nodes(x: GridFn, beta: float) -> np.ndarray:
     """Numeric Caputo derivative of order beta in (1, 2] at every node."""
     _check_on_grid(x, None, "input")
-    if not 1.0 < beta <= 2.0:
-        raise DomainError(f"derivative order must lie in (1, 2], got {beta!r}")
+    check_real(beta, "derivative order", DomainError, 1.0, 2.0, "(]")
     d2 = _second_differences(x.values, x.grid.h)
     if beta == 2.0:
         return d2
@@ -196,19 +189,15 @@ def caputo_residual(
 ) -> float:
     """|numeric Caputo derivative - f(t, x(t))| at one interior node."""
     _check_on_grid(x, None, "input")
-    n = x.grid.n
-    if not 0 < t_index < n:
-        raise PreconditionError(f"node index {t_index} is not interior to 0..{n}")
+    check_count(t_index, "interior node index", PreconditionError, 1, x.grid.n - 1)
     cd = caputo_derivative_nodes(x, beta)
     t = x.grid.nodes[t_index]
     return abs(float(cd[t_index]) - float(f(t, float(x.values[t_index]))))
 
 
 def _check_orders(beta: float, k: float) -> None:
-    if not 1.0 < beta <= 2.0:
-        raise DomainError(f"order must lie in (1, 2], got beta = {beta!r}")
-    if not 0.0 < k < 1.0:
-        raise DomainError(f"boundary parameter must lie in (0, 1), got k = {k!r}")
+    check_real(beta, "order beta", DomainError, 1.0, 2.0, "(]")
+    check_real(k, "boundary parameter k", DomainError, 0.0, 1.0, "()")
 
 
 def lambda_paper(beta: float, k: float) -> float:
@@ -277,15 +266,11 @@ class FbvpProblem:
         _check_orders(self.beta, self.k)
         if not isinstance(self.grid, Grid):
             raise ShapeError(f"grid must be a Grid, got {type(self.grid).__name__}")
-        if self.grid.n < 3:
-            raise DomainError(f"grid needs at least 3 subintervals, got n = {self.grid.n}")
-        if not (math.isfinite(self.L) and self.L >= 0.0):
-            raise DomainError(f"Lipschitz constant must be finite and nonnegative, got {self.L!r}")
+        check_count(self.grid.n, "grid subinterval count", DomainError, 3)
+        check_real(self.L, "Lipschitz constant", DomainError)
         for t in _F_SPOT_T:
             for xv in _F_SPOT_X:
-                fv = float(self.f(t, xv))
-                if not (math.isfinite(fv) and fv >= 0.0):
-                    raise DomainError(f"f({t}, {xv}) = {fv!r} is not a nonnegative real")
+                check_real(float(self.f(t, xv)), f"f({t}, {xv})", DomainError)
             for xa, xb in zip(_F_SPOT_X, _F_SPOT_X[1:]):
                 gap = abs(float(self.f(t, xa)) - float(self.f(t, xb)))
                 if gap > self.L * abs(xa - xb) * (1.0 + 1e-9) + 1e-12:

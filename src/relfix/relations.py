@@ -9,14 +9,13 @@ declared tail window of the supplied finite sequence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_real
 from .spaces import (
     Point,
     as_sample,
@@ -24,6 +23,7 @@ from .spaces import (
     as_values,
     describe_point,
     evaluate_pairs,
+    nonempty_sample,
     point_distance,
     take,
 )
@@ -151,13 +151,9 @@ def preserving_tail(
     last ``tail_fraction`` of it; raises ``PreconditionError`` unless ``seq``
     is a ``rel``-preserving sequence of two or more entries ending within
     ``tol`` of ``limit``."""
-    if not 0.0 < tail_fraction <= 1.0:
-        raise PreconditionError(f"tail fraction must lie in (0, 1], got {tail_fraction!r}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise PreconditionError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    check_real(tail_fraction, "tail fraction", PreconditionError, 0.0, 1.0, "(]")
+    check_real(tol, "tolerance", PreconditionError)
     seq = as_sample(seq)
-    if len(seq) < 2:
-        raise PreconditionError("need at least two sequence entries")
     if not is_preserving(rel, seq):
         raise PreconditionError(f"sequence is not {rel.name}-preserving")
     gap = point_distance(seq[-1], limit)
@@ -171,9 +167,7 @@ def preserving_tail(
 def _check_closed(
     rel: Relation, map_: "SelfMap", sample: Sequence[Point], either_order: bool
 ) -> RelationReport:
-    sample = as_sample(sample)
-    if not sample:
-        raise PreconditionError("empty sample")
+    sample = nonempty_sample(sample)
     images = map_.apply_all(sample)
     related = rel.matrix(sample, sample)
     kept = rel.matrix(images, images, where=related)
@@ -200,9 +194,7 @@ def find_start_points(
 ) -> Sequence[Point]:
     """All sampled x with (x, map(x)) related, admissible iteration seeds,
     as ``take`` gives them."""
-    sample = as_sample(sample)
-    if not sample:
-        raise PreconditionError("empty sample")
+    sample = nonempty_sample(sample)
     k = np.arange(len(sample))
     starts = rel.at(sample, map_.apply_all(sample), k, k)
     return take(sample, np.flatnonzero(starts))
@@ -210,9 +202,7 @@ def find_start_points(
 
 def check_complete_on(rel: Relation, sample: Sequence[Point]) -> RelationReport:
     """Is every sampled pair, including the diagonal, related in some order?"""
-    sample = as_sample(sample)
-    if not sample:
-        raise PreconditionError("empty sample")
+    sample = nonempty_sample(sample)
     related = rel.matrix(sample, sample)
     unrelated = np.triu(~(related | related.T))
     bad = tuple((sample[i], sample[j]) for i, j in np.argwhere(unrelated))

@@ -9,7 +9,6 @@ over nodes on grids.  All values are immutable, so every operation is pure.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SamplingError, ShapeError
+from .errors import check_count, check_real
 
 __all__ = [
     "Grid",
@@ -43,6 +43,7 @@ __all__ = [
     "check_space",
     "sample_space",
     "as_sample",
+    "nonempty_sample",
     "take",
     "MAX_SAMPLE_POINTS",
     "MAX_GRID_N",
@@ -66,12 +67,8 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        n = self.n
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise DomainError(f"grid needs a positive integer subinterval count, got {n!r}")
-        if n > MAX_GRID_N:
-            raise DomainError(f"grid subinterval count {n} exceeds the limit {MAX_GRID_N}")
-        object.__setattr__(self, "n", int(n))
+        n = check_count(self.n, "grid subinterval count", DomainError, 1, MAX_GRID_N)
+        object.__setattr__(self, "n", n)
 
     @property
     def h(self) -> float:
@@ -224,6 +221,10 @@ def check_space(space: object, points: Sequence[Point] = ()) -> None:
     space, and ``PreconditionError`` on the first of ``points`` outside it."""
     if not isinstance(space, (Interval, FunctionSpace)):
         raise ShapeError(f"expected an Interval or a FunctionSpace, got {type(space).__name__}")
+    if isinstance(space, Interval) and isinstance(points, ScalarSample):
+        v = points.values  # only the first point outside is built, for the message
+        outside = (v < space.lo) | ((v > space.hi) if space.hi_inclusive else (v >= space.hi))
+        points = take(points, np.flatnonzero(outside)[:1])
     for pt in points:
         if not space.contains(pt):
             raise PreconditionError(f"sample point {describe_point(pt)} lies outside the space")
@@ -301,6 +302,14 @@ def as_sample(points: Sequence[Point]) -> Sequence[Point]:
     return ScalarSample(values, points.__getitem__)
 
 
+def nonempty_sample(points: Sequence[Point]) -> Sequence[Point]:
+    """``as_sample(points)``; raises ``PreconditionError`` when it is empty."""
+    sample = as_sample(points)
+    if not sample:
+        raise PreconditionError("empty sample")
+    return sample
+
+
 def _interval_lattice(iv: Interval, step: float) -> np.ndarray:
     span = iv.hi - iv.lo
     ratio = span / step + 1e-9
@@ -334,23 +343,21 @@ def sample_space(
     """
     check_space(space)
     if isinstance(space, Interval):
-        if step is None or not (math.isfinite(step) and step > 0):
-            raise SamplingError(f"interval sampling needs a finite step > 0, got {step!r}")
-        vals = _interval_lattice(space, step)
+        if step is None:
+            raise SamplingError("interval sampling needs a step")
+        vals = _interval_lattice(space, check_real(step, "step", SamplingError, ends="()"))
         if not vals.size:
             raise SamplingError("interval sample is empty")
         return ScalarSample(vals)
 
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-        raise SamplingError(f"function-space sampling needs an integer count > 0, got {count!r}")
+    check_count(count, "function-space sample count", SamplingError, 1)
     try:
         lo, hi = box
     except ValueError:
         raise SamplingError(f"sampling box must be a pair (lo, hi), got {box!r}") from None
-    if not (lo < hi and math.isfinite(hi - lo)):
-        raise SamplingError(f"sampling box must be finite and nonempty, got {box!r}")
+    check_real(hi - lo, "sampling box width", SamplingError, ends="()")
     grid = space.grid
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed", SamplingError, 0))
     out: list[GridFn] = [zero_grid_fn(grid)]
     for _ in range(count):
         out.append(GridFn(grid, rng.uniform(lo, hi, grid.n + 1)))

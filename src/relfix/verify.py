@@ -26,6 +26,7 @@ import numpy as np
 
 from .engine import OrbitTrace, SelfMap, StopReason, iterate
 from .errors import DivergenceError, EstimationError, PreconditionError, ShapeError
+from .errors import check_count, check_real
 from .relations import (
     Relation,
     check_t_closed,
@@ -39,6 +40,7 @@ from .spaces import (
     as_sample,
     check_space,
     describe_point,
+    nonempty_sample,
     points_equal,
     row_blocks,
     take,
@@ -255,8 +257,7 @@ def related_pairs(
     The pairs are a sequence of ``(x, y)`` tuples held as index arrays into
     the sample points that appear in some pair; ``estimate_lambda`` and
     ``compare_classical`` read those arrays directly."""
-    if cap < 1:
-        raise PreconditionError(f"pair cap must be at least 1, got {cap!r}")
+    check_count(cap, "pair cap", PreconditionError, 1)
     sample = as_sample(sample)
     flat = np.flatnonzero(rel.matrix(sample, sample))
     if flat.size > cap:
@@ -397,11 +398,11 @@ def verify_theorem(
     branch, witnessed along the generated orbit against its final point.
     """
     check_space(space)
-    sample = as_sample(sample)
-    if not sample:
-        raise PreconditionError("empty sample")
-    if pair_cap < 1:
-        raise PreconditionError(f"pair cap must be at least 1, got {pair_cap!r}")
+    sample = nonempty_sample(sample)
+    check_count(pair_cap, "pair cap", PreconditionError, 1)
+    check_count(max_iter, "max_iter", PreconditionError, 1)
+    if tol is not None:
+        check_real(tol, "tolerance", PreconditionError, ends="()")
     if not rel(orbit_seed, map_.apply(orbit_seed)):
         raise PreconditionError("orbit seed is not a start point: (x0, Tx0) unrelated")
 

@@ -18,16 +18,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, check_count, check_real
 from .relations import Relation, Verdict, preserving_tail
 from .spaces import (
     MetricSpace,
     Point,
-    as_sample,
     as_scalar,
     check_space,
     describe_point,
     evaluate_pairs,
+    nonempty_sample,
     point_distance,
     row_blocks,
 )
@@ -182,9 +182,7 @@ def check_triangle(p: WDistance, sample: Sequence[Point]) -> AxiomReport:
     The triples are scanned a block of first points x at a time, so memory
     grows with the square of the sample size, not its cube.
     """
-    sample = as_sample(sample)
-    if not sample:
-        raise PreconditionError("empty sample")
+    sample = nonempty_sample(sample)
     m = len(sample)
     P = p.matrix(sample, sample)
     violations = 0
@@ -233,8 +231,7 @@ def check_rlsc(
     The sequence must be preserving (use the universal relation for a plain,
     relation-free check) and must converge to ``limit`` within ``conv_tol``.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise PreconditionError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    check_real(tol, "tolerance", PreconditionError)
     seq, window = preserving_tail(rel, seq, limit, conv_tol, tail_fraction)
     tail = seq[-window:]
     tail_values = p.matrix([anchor], tail)[0]
@@ -283,11 +280,9 @@ def check_w3(
     violating triple at the smallest ladder delta is reported.  Every
     sample point must lie in ``space``.
     """
-    sample = as_sample(sample)
-    if not sample:
-        raise PreconditionError("empty sample")
-    if not eps_grid or not all(math.isfinite(e) and e > 0 for e in eps_grid):
-        raise PreconditionError(f"eps grid must be finite and positive, got {tuple(eps_grid)!r}")
+    sample = nonempty_sample(sample)
+    check_count(len(eps_grid), "eps grid size", PreconditionError, 1)
+    eps_grid = [check_real(eps, "eps", PreconditionError, ends="()") for eps in eps_grid]
     check_space(space, sample)
 
     P = p.matrix(sample, sample)
@@ -303,11 +298,11 @@ def check_w3(
                 break
             last_witness = wit
         if found is not None:
-            rows.append(SeparationRow(float(eps), found, None))
+            rows.append(SeparationRow(eps, found, None))
         else:
             zi, xi, yi, dval = last_witness
             rows.append(
-                SeparationRow(float(eps), None, (sample[zi], sample[xi], sample[yi], dval))
+                SeparationRow(eps, None, (sample[zi], sample[xi], sample[yi], dval))
             )
     all_found = all(row.delta is not None for row in rows)
     return AxiomReport(

@@ -37,10 +37,13 @@ from relfix import (
     point_distance,
     probe_uniqueness,
     related_pairs,
+    ScalarPoint,
     sample_space,
     scalar,
     verify_theorem,
 )
+from relfix import verify
+from relfix.cli import main
 from relfix.fixtures import FIXTURES, product_shrink_fixture
 
 
@@ -206,3 +209,42 @@ def test_theorem_on_fine_shrink_sample_in_bounded_memory():
     assert report.lambda_hat == 0.75
     assert report.overall is OverallVerdict.ALL_VERIFIED_ON_SAMPLE
     assert peak < 16 * 1024 * 1024, peak
+
+
+class PointBuilds:
+    """Counts ``ScalarPoint`` constructions while installed."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        build = ScalarPoint.__post_init__
+
+        def counted(point):
+            self.count += 1
+            build(point)
+
+        monkeypatch.setattr(ScalarPoint, "__post_init__", counted)
+
+
+def test_uniqueness_probe_builds_only_the_ancestors_it_reads(tmp_path, monkeypatch):
+    # Ex2_4's probe stops at its hint, z = 0, so no image of the 801-point
+    # sample needs to become a point object
+    builds = PointBuilds(monkeypatch)
+    assert main(["verify-example", "Ex2_4", "--step", "0.0025", "--out", str(tmp_path)]) == 0
+    assert builds.count < 200, builds.count
+
+
+def test_space_check_builds_at_most_the_first_point_outside(monkeypatch):
+    fx = FIXTURES["Ex2_3"]()
+    pairs = related_pairs(fx.relation, sample_space(fx.space, step=0.002))
+    builds = PointBuilds(monkeypatch)
+    inside = []
+    check_space = verify.check_space
+
+    def counted(space, points=()):
+        before = builds.count
+        check_space(space, points)
+        inside.append(builds.count - before)
+
+    monkeypatch.setattr(verify, "check_space", counted)
+    compare_classical(fx.map, fx.space, fx.relation, pairs)
+    assert len(inside) == 1 and inside[0] <= 1, inside

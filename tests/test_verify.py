@@ -323,6 +323,8 @@ class TestDistinctPoints:
 
 OUTSIDE_THE_SPACE = [
     pytest.param(HALVING.space, [scalar(1.0), scalar(3.5)], id="interval"),
+    pytest.param(HALVING.space, [scalar(1.0), scalar(3.0)], id="interval-open-end"),
+    pytest.param(HALVING.space, [scalar(0.5), scalar(1.0)], id="interval-below"),
     pytest.param(function_space(Grid(4)), [zero_grid_fn(Grid(4)), zero_grid_fn(Grid(8))],
                  id="other-grid"),
     pytest.param(function_space(Grid(4)), [zero_grid_fn(Grid(4)), scalar(0.0)],
