@@ -395,7 +395,7 @@ def build_problem(raw: dict) -> tuple[FbvpProblem, float, int]:
         raise ConfigError(f"unknown field 'f.{extra[0]}' for source {f_name!r}")
     try:
         f = factory(**params)
-    except ValueError as exc:
+    except RelfixError as exc:
         raise ConfigError(str(exc))
 
     variant_text = values.get("variant", "paper_exact")

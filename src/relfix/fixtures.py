@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SelfMap
-from .errors import check_real
+from .errors import DomainError, check_real
 from .fractional import FbvpProblem, apply_operator
 from .relations import Relation
 from .spaces import (
@@ -228,7 +228,7 @@ def fbvp_fixture(problem: FbvpProblem) -> Fixture:
 
 
 def constant_source(c: float):
-    check_real(c, "constant source", ValueError)
+    check_real(c, "constant source", DomainError)
 
     def f(t, x):
         return np.full_like(np.asarray(t, dtype=float), float(c))
@@ -238,7 +238,7 @@ def constant_source(c: float):
 
 def sine_mix_source(a: float):
     """a * (1 + t + sin(x)^2); Lipschitz in x with constant a."""
-    check_real(a, "scale", ValueError)
+    check_real(a, "scale", DomainError)
 
     def f(t, x):
         t = np.asarray(t, dtype=float)
@@ -250,7 +250,7 @@ def sine_mix_source(a: float):
 
 def affine_source(a: float):
     """a * (1 + x); Lipschitz in x with constant a."""
-    check_real(a, "scale", ValueError)
+    check_real(a, "scale", DomainError)
 
     def f(t, x):
         t = np.asarray(t, dtype=float)

@@ -41,6 +41,7 @@ trapezoid over node values of the inner integral would lose that exactness.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -97,6 +98,15 @@ def _steps(a: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return up, down
 
 
+def _in_float_range(q: float, n: int, c: float, *weights: np.ndarray) -> tuple:
+    """``weights``, or ``DomainError`` when their scale c = h^q / Gamma(q + 2)
+    underflows or a power in them overflowed, as ``gamma_fn`` raises on overflow."""
+    if c < sys.float_info.min or not all(np.isfinite(w).all() for w in weights):
+        raise DomainError(f"order-{q:g} weights on {n} intervals leave the float range")
+    return weights
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _node_weights(q: float, n: int, tau: float) -> np.ndarray:
     """Weights of nodes 0 .. floor(tau) + 1 in the order-q integral at
     t = tau / n, for 0 < tau < n.  With g(u) = max(u, 0)^(q + 1) and
@@ -104,20 +114,22 @@ def _node_weights(q: float, n: int, tau: float) -> np.ndarray:
     weighs c (g(s + 1) - 2 g(s) + g(s - 1)) at s = tau - j; node 0 carries
     half a hat and weighs c (g(tau - 1) - g(tau) + (q + 1) tau^q)."""
     a = q + 1.0
+    c = n**-q / gamma_fn(a + 1.0)
     up, down = _steps(a, tau - np.arange(int(tau) + 2, dtype=float))
     w = up + down
     w[0] = down[0] + a * tau**q
-    return w * (n**-q / gamma_fn(a + 1.0))
+    return _in_float_range(q, n, c, w * c)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _lag_weights(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Convolution kernel and node-0 correction of the order-beta rule: node
     i weighs node j >= 1 by ``kernel[i - j]`` and node 0, which carries half
     a hat, by ``kernel[i] - right[i]``, as ``_node_weights`` at tau = i."""
-    c = n**-beta / gamma_fn(beta + 2.0)  # raises on too large an order before numpy overflows
+    c = n**-beta / gamma_fn(beta + 2.0)
     m = np.arange(n + 1, dtype=float)
     up, down = _steps(beta + 1.0, m)
-    return c * (up + down), c * (up - (beta + 1.0) * m**beta)
+    return _in_float_range(beta, n, c, c * (up + down), c * (up - (beta + 1.0) * m**beta))
 
 
 def _fft_length(size: int) -> int:

@@ -6,7 +6,9 @@ are checked on finite data: the triangle inequality over sampled triples, a
 lower-semi-continuity condition along relation-preserving sequences (the
 liminf over an infinite tail is proxied by the minimum over a declared tail
 window), and a separation property tying small p-balls to small metric
-distance, with the existential delta searched over a fixed geometric ladder.
+distance, with the existential delta searched over a fixed geometric ladder,
+each ladder step decided by one 0/1 matrix product over the sample, and the
+first failing triple at the smallest delta kept as a failing epsilon's witness.
 """
 
 from __future__ import annotations
@@ -128,7 +130,8 @@ class TriangleWitness:
 @dataclass(frozen=True)
 class SeparationRow:
     """One epsilon row of the separation search: the largest working ladder
-    delta, or the violating triple found at the smallest ladder delta."""
+    delta, or, when none works, the witness (z, x, y, d(x, y)) that
+    ``check_w3`` takes from the smallest ladder delta, 2^-20."""
 
     eps: float
     delta: float | None
@@ -253,32 +256,20 @@ def default_delta_ladder() -> tuple[float, ...]:
     return tuple(2.0**-i for i in range(21))
 
 
-def _separation_holds(P, D, delta, eps):
-    """All triples: p(z, x) <= delta and p(z, y) <= delta imply d(x, y) <= eps."""
-    for zi in range(P.shape[0]):
-        near = np.flatnonzero(P[zi] <= delta)
-        if near.size < 2:
-            continue
-        sub = D[np.ix_(near, near)]
-        worst = np.unravel_index(np.argmax(sub), sub.shape)
-        if sub[worst] > eps:
-            return False, (zi, int(near[worst[0]]), int(near[worst[1]]), float(sub[worst]))
-    return True, None
-
-
 def check_w3(
-    p: WDistance,
-    space: MetricSpace,
-    sample: Sequence[Point],
-    eps_grid: Sequence[float],
+    p: WDistance, space: MetricSpace, sample: Sequence[Point], eps_grid: Sequence[float]
 ) -> AxiomReport:
     """For each epsilon, the largest delta on the fixed ladder
     ``default_delta_ladder()`` (1, 1/2, ..., 2^-20) satisfying separation.
 
     The ladder is searched top down, so the first success is the largest
-    working delta; an epsilon with no working delta fails the axiom and the
-    violating triple at the smallest ladder delta is reported.  Every
-    sample point must lie in ``space``.
+    working delta.  With the 0/1 matrices near = (p <= delta) and
+    far = (d > eps), a step fails where ``near @ far`` and ``near`` are both
+    nonzero: x lies in z's delta-ball and so does some y farther than eps
+    from x.  An epsilon with no working delta fails the axiom; its witness
+    (z, x, y, d(x, y)) is the first failing (z, x) in row-major order at
+    delta = 2^-20, with the first such y.  Every sample point must lie in
+    ``space``.
     """
     sample = nonempty_sample(sample)
     check_count(len(eps_grid), "eps grid size", PreconditionError, 1)
@@ -289,21 +280,18 @@ def check_w3(
     D = WDistance.from_metric().matrix(sample, sample)
     rows = []
     for eps in eps_grid:
-        found = None
-        last_witness = None
+        far = (D > eps).astype(float)
         for delta in default_delta_ladder():
-            ok, wit = _separation_holds(P, D, delta, eps)
-            if ok:
-                found = delta
+            near = (P <= delta).astype(float)
+            bad = (near @ far > 0.0) & (near > 0.0)
+            if not bad.any():
+                rows.append(SeparationRow(eps, delta, None))
                 break
-            last_witness = wit
-        if found is not None:
-            rows.append(SeparationRow(eps, found, None))
         else:
-            zi, xi, yi, dval = last_witness
-            rows.append(
-                SeparationRow(eps, None, (sample[zi], sample[xi], sample[yi], dval))
-            )
+            z, x = np.unravel_index(np.argmax(bad), bad.shape)
+            y = np.argmax(near[z] * far[x])
+            witness = (sample[z], sample[x], sample[y], float(D[x, y]))
+            rows.append(SeparationRow(eps, None, witness))
     all_found = all(row.delta is not None for row in rows)
     return AxiomReport(
         Axiom.W3_SEPARATION,

@@ -263,7 +263,8 @@ class TestSolveCommand:
     @pytest.mark.parametrize(
         "field, value",
         [("L", "nan"), ("L", "inf"), ("tol", "-1"), ("max_iter", "0"), ("tol", "nan"),
-         ("n", "1048577"), ("n", "1000000000000"), ("n", "1"), ("n", "2")],
+         ("n", "1048577"), ("n", "1000000000000"), ("n", "1"), ("n", "2"), ("f.a", "-1"),
+         ("f.a", "nan")],
     )
     def test_out_of_range_value_is_usage_error(self, field, value, tmp_path, capsys):
         kept = [line for line in GOOD_CONFIG.splitlines() if not line.startswith(f"{field} =")]

@@ -52,7 +52,12 @@ from relfix import (
     verify_theorem,
     witness_d_self_closed,
 )
-from relfix.fixtures import constant_source, product_shrink_fixture
+from relfix.fixtures import (
+    affine_source,
+    constant_source,
+    product_shrink_fixture,
+    sine_mix_source,
+)
 from relfix.spaces import MAX_GRID_N
 
 NONFINITE = [math.nan, math.inf, -math.inf]
@@ -187,6 +192,10 @@ CONTRACT = [
           {"beta": BETA, "k": reals(0.0, 1.0, "()"), "L": reals(), "n": counts(3, MAX_GRID_N)}),
     Entry(solve_fbvp, lambda tol, max_iter: solve_fbvp(PROBLEM, tol=tol, max_iter=max_iter),
           {"tol": reals(ends="()"), "max_iter": counts(1)}),
+    # The named sources of a boundary-value problem, outside ``relfix.__all__``.
+    Entry(constant_source, constant_source, {"c": reals()}),
+    Entry(sine_mix_source, sine_mix_source, {"a": reals()}),
+    Entry(affine_source, affine_source, {"a": reals()}),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,29 @@ class TestRlIntegral:
         g = Grid(8)
         with pytest.raises(DomainError):
             rl_integral(zero_grid_fn(g), 0.0, 4)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: rl_integral_nodes(np.ones(1001), 150.0, Grid(1000)), id="power"),
+            pytest.param(
+                lambda: rl_integral(grid_fn(Grid(4096), np.ones(4097)), 100.0, 4096), id="node"
+            ),
+            # exactly 1 / Gamma(101) at t = 1, but h^100 / Gamma(102) underflows to 0
+            pytest.param(lambda: rl_integral_nodes(np.ones(1001), 100.0, Grid(1000)), id="scale"),
+        ],
+    )
+    def test_weights_outside_the_float_range_rejected(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="float range"):
+                call()
+
+    def test_high_order_inside_the_float_range_exact_on_constants(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = rl_integral_nodes(np.ones(1001), 50.0, Grid(1000))
+        assert got[-1] == pytest.approx(1.0 / gamma_fn(51.0), rel=1e-9)
 
 
 def dense_weight_row(beta, n, tau):

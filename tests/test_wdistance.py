@@ -16,6 +16,7 @@ from relfix import (
     default_delta_ladder,
     function_space,
     Grid,
+    interval_space,
     sample_space,
     scalar,
     universal_relation,
@@ -154,6 +155,53 @@ class TestRelationLsc:
         assert report.ok
 
 
+LUMPY = WDistance.elementwise(
+    "half_bucket", lambda x, y: np.abs(np.floor(2 * x) - np.floor(2 * y))
+)
+FLAT = WDistance.on_scalars("flat", lambda x, y: 0.0)
+FLAT_GRID = WDistance("flat_grid", lambda x, y: 0.0)
+SEPARATION_EPS = (2.0, 1.0, 0.5, 0.25, 0.1, 0.02, 1e-3)
+
+
+def scan_balls(p, sample, eps_grid):
+    """Reference separation search: every ladder delta, top down, decided by
+    looking at each centre's delta-ball in turn.  One (eps, delta, witness)
+    row per eps; the witness is the first centre z, the first x in its ball
+    and the first y in it farther than eps from x, as indices, at 2^-20."""
+    m = len(sample)
+    P = np.array([[p(z, x) for x in sample] for z in sample])
+    D = np.array([[METRIC(x, y) for y in sample] for x in sample])
+    rows = []
+    for eps in eps_grid:
+        for delta in default_delta_ladder():
+            balls = [np.flatnonzero(P[z] <= delta) for z in range(m)]
+            if all((D[np.ix_(ball, ball)] <= eps).all() for ball in balls):
+                rows.append((eps, delta, None))
+                break
+        else:
+            z, x, y = next(
+                (z, x, y) for z in range(m) for x in balls[z] for y in balls[z] if D[x, y] > eps
+            )
+            rows.append((eps, None, (z, x, y)))
+    return rows
+
+
+def assert_matches_ball_scan(p, space, sample, eps_grid):
+    report = check_w3(p, space, sample, eps_grid)
+    expected = scan_balls(p, sample, eps_grid)
+    assert [(row.eps, row.delta) for row in report.table] == [row[:2] for row in expected]
+    for row, (eps, _, indices) in zip(report.table, expected):
+        if indices is None:
+            assert row.witness is None
+            continue
+        z, x, y, d = row.witness
+        assert (z, x, y) == tuple(sample[k] for k in indices)
+        assert p(z, x) <= 2**-20 and p(z, y) <= 2**-20
+        assert d == METRIC(x, y) and d > eps
+    assert report.ok == all(row.delta is not None for row in report.table)
+    return report
+
+
 class TestSeparation:
     def test_metric_half_epsilon_always_works(self):
         sample = pts(*[i * 0.1 for i in range(21)])
@@ -187,6 +235,42 @@ class TestSeparation:
         assert report.verdict is Verdict.FAILS_WITH_WITNESS
         assert report.table[0].delta is None
         assert report.table[0].witness is not None
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("p", [METRIC, ABS_SUM, SECOND, LUMPY, FLAT], ids=lambda p: p.name)
+    def test_matches_ball_scan_on_seeded_scalar_samples(self, p, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.0, 3.0, int(rng.integers(1, 25)))
+        if seed % 2:
+            values = np.round(values * 8) / 8  # repeated and dyadic points
+        sample = pts(*values)
+        assert_matches_ball_scan(p, interval_space(0.0, 3.0), sample, SEPARATION_EPS)
+
+    def test_matches_ball_scan_on_grid_functions(self):
+        space = function_space(Grid(4))
+        sample = sample_space(space, count=12, seed=5)
+        first_node = WDistance("first_node", lambda x, y: abs(x.values[0] - y.values[0]))
+        for p in (METRIC, first_node, FLAT_GRID):
+            assert_matches_ball_scan(p, space, sample, SEPARATION_EPS)
+        assert not check_w3(FLAT_GRID, space, sample, SEPARATION_EPS).ok
+
+    def test_failing_pair_distance_matches_ball_scan(self):
+        # p reads only the half-unit bucket, so points in one bucket never separate
+        sample = pts(0.0, 0.1, 0.45, 0.5, 0.7, 1.2, 1.4)
+        report = assert_matches_ball_scan(LUMPY, interval_space(0.0, 3.0), sample, (0.3, 0.05))
+        assert [row.delta for row in report.table] == [None, None]
+        assert report.verdict is Verdict.FAILS_WITH_WITNESS
+        assert len(report.witnesses) == 2
+
+    def test_ball_boundary_at_a_ladder_delta_counts_as_inside(self):
+        # under the metric a dyadic lattice puts p(z, x) exactly on the ladder;
+        # a delta-ball closed at delta has diameter 2 delta here, so eps = 1/4
+        # needs delta = 1/8, while an open ball would accept delta = 1/4
+        sample = pts(*(k / 8 for k in range(9)))
+        report = assert_matches_ball_scan(
+            METRIC, interval_space(0.0, 1.0), sample, (1.0, 0.5, 0.25, 0.125, 0.3, 0.1)
+        )
+        assert [row.delta for row in report.table] == [1.0, 0.25, 0.125, 0.0625, 0.125, 0.0625]
 
     def test_metric_passes_all_three_axioms_everywhere(self):
         scalar_sample = pts(0, 0.5, 1.1, 1.9)
