@@ -53,8 +53,22 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
+def _read_text(path: Path, missing: str) -> str:
+    """The UTF-8 text of ``path``; ``ConfigError`` with the message
+    ``missing`` when there is no such file, and when it cannot be read."""
+    if not path.exists():
+        raise ConfigError(missing)
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
 def _write_report(out_dir: Path, record: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out_dir}: {exc}") from None
     text = json.dumps(record, sort_keys=True, indent=2, default=_json_default) + "\n"
     (out_dir / REPORT_NAME).write_text(text)
 
@@ -342,10 +356,9 @@ _REQUIRED = ("beta", "k", "L", "f", "n")
 
 def parse_config(path: Path) -> dict:
     """Flat key = value text; '#' starts a comment."""
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    text = _read_text(path, f"config file not found: {path}")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -493,9 +506,12 @@ def run_solve_fbvp(config_path: Path, out_dir: Path) -> int:
 
 def run_report(in_dir: Path) -> int:
     path = in_dir / REPORT_NAME
-    if not path.exists():
-        raise ConfigError(f"no {REPORT_NAME} in {in_dir}")
-    record = json.loads(path.read_text())
+    try:
+        record = json.loads(_read_text(path, f"no {REPORT_NAME} in {in_dir}"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise ConfigError(f"{path} holds a JSON {type(record).__name__}, not a report object")
     print(f"command: {record.get('command')}")
     for name, check in sorted(record.get("checks", {}).items()):
         print(f"{'PASS' if check.get('pass') else 'FAIL'}  {name}")
@@ -524,7 +540,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify-example", help="run one fixture's check battery")
     verify.add_argument("example_id", choices=sorted(FIXTURES))
     verify.add_argument("--step", type=float, default=None, help="interval lattice step")
-    verify.add_argument("--seed", type=int, default=0, help="sampling seed")
+    verify.add_argument(
+        "--seed", type=int, default=0,
+        help="seed of function-space samples; all five fixtures sample intervals, "
+        "which need none",
+    )
     verify.add_argument("--out", type=Path, default=Path("relfix-out"))
 
     solve = sub.add_parser("solve-fbvp", help="solve a boundary-value problem from a config file")

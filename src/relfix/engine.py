@@ -65,6 +65,8 @@ SEPARATION_SLACK = 1e-12
 PROBE_STEPS = 25
 # Fixed-point candidates farther apart than this in the metric are distinct.
 CANDIDATE_SEPARATION = 1e-8
+# Rounding allowance on p(x_n, x_m) <= u_n in ``certify_cauchy``.
+CAUCHY_SLACK = 1e-10
 
 
 class StopReason(Enum):
@@ -76,7 +78,6 @@ class StopReason(Enum):
 class UniquenessVerdict(Enum):
     UNIQUE_BY_CONDITION_1 = "unique_by_condition_1"
     UNIQUE_BY_CONDITION_2 = "unique_by_condition_2"
-    NOT_PROBED = "not_probed"
     PROBE_FAILED = "probe_failed"
 
 
@@ -178,14 +179,12 @@ class FixedPointCertificate:
     point: Point
     residual: float
     p_self: float
-    unique: UniquenessVerdict
 
     def to_record(self) -> dict:
         return {
             "point": describe_point(self.point),
             "residual": self.residual,
             "p_self": self.p_self,
-            "unique": self.unique.value,
         }
 
 
@@ -281,9 +280,8 @@ def cauchy_bound(lam: float, p01: float, n: int) -> float:
     return lam**n * p01 / (1.0 - lam)
 
 
-def certify_cauchy(trace: OrbitTrace, p: WDistance, tol: float = 1e-10) -> CauchyCheck:
-    """Check p(x_n, x_m) <= u_n + tol for every recorded index pair n < m."""
-    check_real(tol, "tolerance", PreconditionError)
+def certify_cauchy(trace: OrbitTrace, p: WDistance) -> CauchyCheck:
+    """Check p(x_n, x_m) <= u_n + CAUCHY_SLACK for every recorded index pair n < m."""
     pts = trace.points
     if not pts:
         raise PreconditionError("empty trace")
@@ -294,7 +292,7 @@ def certify_cauchy(trace: OrbitTrace, p: WDistance, tol: float = 1e-10) -> Cauch
     for rows in row_blocks(count - 1, count):
         later = index[rows, None] < index[None, :]
         values = p.matrix(pts[rows], pts, where=later)
-        for i, j in np.argwhere(later & (values > bound[rows, None] + tol)):
+        for i, j in np.argwhere(later & (values > bound[rows, None] + CAUCHY_SLACK)):
             n = rows.start + int(i)
             violations.append((n, int(j), float(values[i, j]), float(bound[n])))
     return CauchyCheck(not violations, tuple(violations))
@@ -328,12 +326,7 @@ def certify_limit_uniqueness(
     return point_distance(y, z) <= u[-1] + v[-1] + SEPARATION_SLACK
 
 
-def certify_fixed_point(
-    map_: SelfMap,
-    point: Point,
-    p: WDistance,
-    unique: UniquenessVerdict = UniquenessVerdict.NOT_PROBED,
-) -> FixedPointCertificate:
+def certify_fixed_point(map_: SelfMap, point: Point, p: WDistance) -> FixedPointCertificate:
     """Issue a certificate after re-checking the residual with an extra map
     application; refuses when either residual exceeds
     ``default_tolerance(point)``."""
@@ -345,7 +338,7 @@ def certify_fixed_point(
         raise PreconditionError(
             f"residual {residual:.3e} (follow-up {follow_up:.3e}) above tolerance {tol:.3e}"
         )
-    return FixedPointCertificate(point, residual, p(point, point), unique)
+    return FixedPointCertificate(point, residual, p(point, point))
 
 
 def _geometric_decay_holds(
@@ -376,7 +369,6 @@ def probe_uniqueness(
     fp_candidates: Sequence[Point],
     sample: Sequence[Point],
     *,
-    decay_tol: float = 1e-9,
     z_hint: Point | None = None,
 ) -> ProbeResult:
     """Try the two uniqueness conditions against the candidate fixed points.
@@ -384,19 +376,20 @@ def probe_uniqueness(
     Each candidate's residual must be within ``default_tolerance``.
     Condition 1 looks for a point z related to every candidate (a caller
     hint is tried first, then images of the sample) and verifies the
-    lambda^n decay of p(T^n z, c), up to ``decay_tol``, over ``PROBE_STEPS``
-    steps; condition 2 checks completeness of the relation on the image
-    sample and that the contraction forces the pair distance between
-    distinct candidates to vanish.  Candidates farther apart than
+    lambda^n decay of p(T^n z, c) over ``PROBE_STEPS`` steps; condition 2
+    checks completeness of the relation on the image sample and that the
+    contraction forces the pair distance between distinct candidates to
+    vanish.  Both allow ``default_tolerance`` of the first candidate on
+    their inequalities.  Candidates farther apart than
     ``CANDIDATE_SEPARATION`` in the metric are distinct, and no condition
     certifies uniqueness for them.  The verdict names the condition that
     certified uniqueness, or reports failure.
     """
     check_real(lam, "contraction factor", DomainError)
-    check_real(decay_tol, "decay_tol", PreconditionError)
     candidates = list(fp_candidates)
     if not candidates:
         raise PreconditionError("no fixed-point candidates supplied")
+    tol = default_tolerance(candidates[0])
     for c in candidates:
         tol_c = default_tolerance(c)
         res = point_distance(c, map_.apply(c))
@@ -423,7 +416,7 @@ def probe_uniqueness(
     found_related_z = False
     for z in ancestors:
         found_related_z = True
-        if _geometric_decay_holds(map_, p, lam, z, candidates, decay_tol):
+        if _geometric_decay_holds(map_, p, lam, z, candidates, tol):
             if separated:
                 notes.append("decay held but candidates stay separated")
                 break
@@ -455,11 +448,11 @@ def probe_uniqueness(
                         break
                     pv = p(first, second)
                     contracted = p(map_.apply(first), map_.apply(second))
-                    if contracted > lam * pv + decay_tol:
+                    if contracted > lam * pv + tol:
                         collapse_ok = False
                         notes.append("contraction fails on a candidate pair")
                         break
-                    if pv > decay_tol / (1.0 - lam) or point_distance(a, b) > CANDIDATE_SEPARATION:
+                    if pv > tol / (1.0 - lam) or point_distance(a, b) > CANDIDATE_SEPARATION:
                         collapse_ok = False
                         notes.append("candidate pair distance did not collapse")
                         break

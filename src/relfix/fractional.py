@@ -381,24 +381,13 @@ class FbvpSolution:
         }
 
 
-def solve_fbvp(
-    problem: FbvpProblem,
-    x0: GridFn | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-) -> FbvpSolution:
-    """Picard-iterate the integral operator from a nonnegative start.
+def solve_fbvp(problem: FbvpProblem, tol: float = 1e-8, max_iter: int = 10_000) -> FbvpSolution:
+    """Picard-iterate the integral operator from the zero function.
 
     When L * lambda_tight is not below 1 a ``ContractionWarning`` is emitted
     and the iteration is still attempted; divergence raises
     ``DivergenceError`` with the partial trace attached.
     """
-    if x0 is None:
-        x0 = zero_grid_fn(problem.grid)
-    _check_on_grid(x0, problem.grid, "start")
-    if np.any(x0.values < 0.0):
-        raise PreconditionError("start function must be nonnegative at every node")
-
     lam_tight = lambda_tight(problem.beta, problem.k)
     lam_disp = lambda_paper(problem.beta, problem.k)
     contraction = problem.L * lam_tight
@@ -412,6 +401,7 @@ def solve_fbvp(
 
     operator = SelfMap("fbvp_operator", lambda pt: apply_operator(problem, pt))
     sup_pair = WDistance.from_metric("sup_metric")
+    x0 = zero_grid_fn(problem.grid)
     trace = iterate(operator, x0, sup_pair, contraction, max_iter=max_iter, tol=tol)
 
     x = trace.final

@@ -3,8 +3,8 @@
 Universally quantified relation properties are decided on finite samples;
 every report records the size of the sample it was decided on, and a failing
 verdict always carries at least one concrete counterexample pair.  The
-infinite-tail condition behind ``witness_d_self_closed`` is proxied by a
-declared tail window of the supplied finite sequence.
+infinite-tail condition behind ``witness_d_self_closed`` is proxied by the
+last ``TAIL_FRACTION`` of the supplied finite sequence.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ __all__ = [
     "check_complete_on",
     "witness_d_self_closed",
 ]
+
+# Share of a finite sequence, from its end, that stands in for its infinite tail.
+TAIL_FRACTION = 0.25
 
 
 class RelationProperty(Enum):
@@ -102,8 +105,9 @@ class Relation:
 
 
 def universal_relation() -> Relation:
-    """The relation that relates every ordered pair."""
-    return Relation("universal", lambda x, y: True)
+    """The relation that relates every ordered pair, of any point kind; on
+    scalar samples it broadcasts, so no point is built."""
+    return Relation("universal", lambda x, y: True, lambda x, y: True)
 
 
 @dataclass(frozen=True)
@@ -145,13 +149,12 @@ def is_preserving(rel: Relation, seq: Sequence[Point]) -> bool:
 
 
 def preserving_tail(
-    rel: Relation, seq: Sequence[Point], limit: Point, tol: float, tail_fraction: float
+    rel: Relation, seq: Sequence[Point], limit: Point, tol: float
 ) -> tuple[Sequence[Point], int]:
     """``seq`` through ``as_sample`` and the length of its tail window, the
-    last ``tail_fraction`` of it; raises ``PreconditionError`` unless ``seq``
+    last ``TAIL_FRACTION`` of it; raises ``PreconditionError`` unless ``seq``
     is a ``rel``-preserving sequence of two or more entries ending within
     ``tol`` of ``limit``."""
-    check_real(tail_fraction, "tail fraction", PreconditionError, 0.0, 1.0, "(]")
     check_real(tol, "tolerance", PreconditionError)
     seq = as_sample(seq)
     if not is_preserving(rel, seq):
@@ -161,7 +164,7 @@ def preserving_tail(
         raise PreconditionError(
             f"sequence tail is {gap:.3e} from the limit, above tolerance {tol:.3e}"
         )
-    return seq, max(1, int(len(seq) * tail_fraction))
+    return seq, max(1, int(len(seq) * TAIL_FRACTION))
 
 
 def _check_closed(
@@ -225,19 +228,14 @@ class SubsequenceWitness:
 
 
 def witness_d_self_closed(
-    rel: Relation,
-    seq: Sequence[Point],
-    limit: Point,
-    *,
-    tol: float = 1e-9,
-    tail_fraction: float = 0.25,
+    rel: Relation, seq: Sequence[Point], limit: Point, *, tol: float = 1e-9
 ) -> SubsequenceWitness:
     """Check the subsequence-to-limit condition on a finite sequence.
 
     The sequence must be preserving and its final entry must lie within
     ``tol`` of ``limit``; otherwise a ``PreconditionError`` is raised.
     """
-    seq, window = preserving_tail(rel, seq, limit, tol, tail_fraction)
+    seq, window = preserving_tail(rel, seq, limit, tol)
     related = rel.matrix(seq, [limit])[:, 0]
     tail_start = len(seq) - window
     if related[tail_start:].all():

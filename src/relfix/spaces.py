@@ -12,7 +12,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -58,6 +58,9 @@ MAX_GRID_N = 2**20
 
 # Elements per block when a pair array is built a few rows at a time.
 BLOCK_ELEMENTS = 1 << 14
+
+# Range of the node values of sampled grid functions.
+SAMPLE_BOX = (0.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -257,24 +260,18 @@ class _Lazy(Sequence):
             return NotImplemented
         return list(self) == list(other)
 
-    def __add__(self, other):
-        return list(self) + list(other)
-
-    def __radd__(self, other):
-        return list(other) + list(self)
-
 
 class ScalarSample(_Lazy):
-    """Scalar points over the finite float array ``values``, each built on
-    its first read and then kept; slices and ``take`` share those points."""
+    """Scalar points over the finite float array ``values``, each built when
+    it is read; a slice is a ``ScalarSample`` over the sliced values."""
 
-    def __init__(self, values, item: Callable[[int], ScalarPoint] | None = None):
+    def __init__(self, values):
         values = np.array(values, dtype=float)
         if not np.isfinite(values).all():
             ScalarPoint(values[~np.isfinite(values)][0])  # raises its DomainError
         values.setflags(write=False)
         self.values = values
-        super().__init__(values.size, item or cache(lambda n: ScalarPoint(values[n])))
+        super().__init__(values.size, lambda n: ScalarPoint(values[n]))
 
     def __getitem__(self, k):
         return take(self, k) if isinstance(k, slice) else super().__getitem__(k)
@@ -282,24 +279,22 @@ class ScalarSample(_Lazy):
 
 def take(sample: Sequence[Point], index) -> Sequence[Point]:
     """The items of ``sample`` at ``index``, an index array (or a slice of a
-    ``ScalarSample``): a ``ScalarSample`` of the same point objects when
-    ``sample`` is one, otherwise a list."""
+    ``ScalarSample``): a ``ScalarSample`` over their values when ``sample``
+    is one, otherwise a list."""
     if not isinstance(sample, ScalarSample):
         return [sample[k] for k in index]
-    slots = np.arange(len(sample))[index]
-    return ScalarSample(sample.values[index], lambda n: sample[slots[n]])
+    return ScalarSample(sample.values[index])
 
 
 def as_sample(points: Sequence[Point]) -> Sequence[Point]:
     """A ``ScalarSample`` unchanged, other scalar points as a ``ScalarSample``
-    of those same point objects, and grid functions as a list."""
+    over their values, and grid functions as a list."""
     if isinstance(points, ScalarSample):
         return points
     points = list(points)
     if not all(isinstance(pt, ScalarPoint) for pt in points):
         return points
-    values = np.fromiter((pt.value for pt in points), dtype=float, count=len(points))
-    return ScalarSample(values, points.__getitem__)
+    return ScalarSample(np.fromiter((pt.value for pt in points), dtype=float, count=len(points)))
 
 
 def nonempty_sample(points: Sequence[Point]) -> Sequence[Point]:
@@ -331,14 +326,13 @@ def sample_space(
     step: float | None = None,
     count: int | None = None,
     seed: int = 0,
-    box: tuple[float, float] = (0.0, 2.0),
 ) -> ScalarSample | list[GridFn]:
     """Deterministic finite sample of the space.
 
     Intervals are sampled on the lattice ``lo, lo + step, ...`` honoring the
     open endpoint, as a ``ScalarSample`` over the lattice values.  Function
     spaces get a list of ``count`` random grid functions with node values
-    drawn uniformly from ``box``, preceded by the constant-zero function.
+    drawn uniformly from ``SAMPLE_BOX``, preceded by the constant-zero function.
     Identical arguments always produce identical samples.
     """
     check_space(space)
@@ -351,16 +345,11 @@ def sample_space(
         return ScalarSample(vals)
 
     check_count(count, "function-space sample count", SamplingError, 1)
-    try:
-        lo, hi = box
-    except ValueError:
-        raise SamplingError(f"sampling box must be a pair (lo, hi), got {box!r}") from None
-    check_real(hi - lo, "sampling box width", SamplingError, ends="()")
     grid = space.grid
     rng = np.random.default_rng(check_count(seed, "seed", SamplingError, 0))
     out: list[GridFn] = [zero_grid_fn(grid)]
     for _ in range(count):
-        out.append(GridFn(grid, rng.uniform(lo, hi, grid.n + 1)))
+        out.append(GridFn(grid, rng.uniform(*SAMPLE_BOX, grid.n + 1)))
     return out
 
 

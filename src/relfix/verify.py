@@ -26,7 +26,6 @@ import numpy as np
 
 from .engine import OrbitTrace, SelfMap, StopReason, iterate
 from .errors import DivergenceError, EstimationError, PreconditionError, ShapeError
-from .errors import check_count, check_real
 from .relations import (
     Relation,
     check_t_closed,
@@ -58,6 +57,9 @@ __all__ = [
     "compare_classical",
     "verify_theorem",
 ]
+
+# Most related pairs a check reads; past it the pairs are strided down.
+PAIR_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -248,20 +250,17 @@ def _index_pairs(
     return points, i, j
 
 
-def related_pairs(
-    rel: Relation, sample: Sequence[Point], *, cap: int = 1_000_000
-) -> Sequence[tuple[Point, Point]]:
+def related_pairs(rel: Relation, sample: Sequence[Point]) -> Sequence[tuple[Point, Point]]:
     """All related ordered pairs from sample x sample, deterministically
-    strided down when the count exceeds ``cap``.
+    strided down when the count exceeds ``PAIR_CAP``.
 
     The pairs are a sequence of ``(x, y)`` tuples held as index arrays into
     the sample points that appear in some pair; ``estimate_lambda`` and
     ``compare_classical`` read those arrays directly."""
-    check_count(cap, "pair cap", PreconditionError, 1)
     sample = as_sample(sample)
     flat = np.flatnonzero(rel.matrix(sample, sample))
-    if flat.size > cap:
-        flat = flat[:: math.ceil(flat.size / cap)]
+    if flat.size > PAIR_CAP:
+        flat = flat[:: math.ceil(flat.size / PAIR_CAP)]
     rows, cols = np.divmod(flat, len(sample))
     used = np.zeros(len(sample), dtype=bool)
     used[rows] = used[cols] = True
@@ -339,10 +338,9 @@ def _sample_estimates(
     p: WDistance,
     rel: Relation,
     sample: Sequence[Point],
-    pair_cap: int,
 ) -> tuple[ContractionEstimate, ContractionEstimate]:
     """The estimates without and with the diagonal over the related sample
-    pairs, strided down as ``related_pairs`` does past ``pair_cap``.
+    pairs, strided down as ``related_pairs`` does past ``PAIR_CAP``.
 
     Only the relation is held for the whole sample; the pair distances are
     evaluated a block of rows at a time.
@@ -353,7 +351,7 @@ def _sample_estimates(
     total = int(np.count_nonzero(related))
     if not total:
         raise EstimationError("cannot estimate a contraction factor from an empty pair set")
-    stride = math.ceil(total / pair_cap) if total > pair_cap else 1
+    stride = math.ceil(total / PAIR_CAP) if total > PAIR_CAP else 1
     plain, with_diagonal = _WorstRatio(False), _WorstRatio(True)
     seen = 0
     for rows in row_blocks(m, m):
@@ -384,10 +382,6 @@ def verify_theorem(
     p: WDistance,
     sample: Sequence[Point],
     orbit_seed: Point,
-    *,
-    max_iter: int = 10_000,
-    tol: float | None = None,
-    pair_cap: int = 1_000_000,
 ) -> TheoremReport:
     """Aggregate every hypothesis check and produce the factor to feed the
     iteration engine.
@@ -399,10 +393,6 @@ def verify_theorem(
     """
     check_space(space)
     sample = nonempty_sample(sample)
-    check_count(pair_cap, "pair cap", PreconditionError, 1)
-    check_count(max_iter, "max_iter", PreconditionError, 1)
-    if tol is not None:
-        check_real(tol, "tolerance", PreconditionError, ends="()")
     if not rel(orbit_seed, map_.apply(orbit_seed)):
         raise PreconditionError("orbit seed is not a start point: (x0, Tx0) unrelated")
 
@@ -419,7 +409,7 @@ def verify_theorem(
         reasons.append("relation is not map-closed on the sample")
 
     try:
-        estimate, estimate_diag = _sample_estimates(map_, p, rel, sample, pair_cap)
+        estimate, estimate_diag = _sample_estimates(map_, p, rel, sample)
     except EstimationError as exc:
         reasons.append(str(exc))
         empty = ContractionEstimate(math.inf, None, 0, 0, (), False)
@@ -440,7 +430,7 @@ def verify_theorem(
     complete_ok = False
     if contraction_ok:
         try:
-            orbit = iterate(map_, orbit_seed, p, estimate.lambda_hat, max_iter, tol)
+            orbit = iterate(map_, orbit_seed, p, estimate.lambda_hat)
             witness = witness_d_self_closed(rel, orbit.points, orbit.final)
             self_closed_ok = witness.ok
             if not self_closed_ok:

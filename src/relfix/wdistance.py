@@ -48,6 +48,8 @@ __all__ = [
 
 # Rounding allowance on p(x, z) <= p(x, y) + p(y, z) in the triangle check.
 TRIANGLE_SLACK = 1e-12
+# Allowance on the tail minimum against p(anchor, limit) in ``check_rlsc``.
+LSC_SLACK = 1e-9
 
 
 class Axiom(Enum):
@@ -223,25 +225,23 @@ def check_rlsc(
     rel: Relation,
     seq: Sequence[Point],
     limit: Point,
-    tol: float = 1e-9,
     *,
     conv_tol: float = 1e-9,
-    tail_fraction: float = 0.25,
 ) -> AxiomReport:
     """Lower semi-continuity of p(anchor, .) along one preserving sequence.
 
-    Asserts min over the tail window of p(anchor, x_n) >= p(anchor, limit) - tol.
-    The sequence must be preserving (use the universal relation for a plain,
-    relation-free check) and must converge to ``limit`` within ``conv_tol``.
+    Asserts min over the tail window of p(anchor, x_n) >= p(anchor, limit) -
+    ``LSC_SLACK``.  The sequence must be preserving (use the universal
+    relation for a plain, relation-free check) and must converge to
+    ``limit`` within ``conv_tol``.
     """
-    check_real(tol, "tolerance", PreconditionError)
-    seq, window = preserving_tail(rel, seq, limit, conv_tol, tail_fraction)
+    seq, window = preserving_tail(rel, seq, limit, conv_tol)
     tail = seq[-window:]
     tail_values = p.matrix([anchor], tail)[0]
     worst_at = int(np.argmin(tail_values))
     tail_min = float(tail_values[worst_at])
     at_limit = p(anchor, limit)
-    ok = tail_min >= at_limit - tol
+    ok = tail_min >= at_limit - LSC_SLACK
     worst = tail[worst_at]
     return AxiomReport(
         Axiom.W2_RLSC,

@@ -108,7 +108,7 @@ def test_criterion_3_lemma_suite_on_engine_orbits():
     for trace, pair_distance, lam in orbits:
         for n in range(1, trace.steps):
             assert trace.p_gaps[n] <= lam * trace.p_gaps[n - 1] + 1e-12
-        check = certify_cauchy(trace, pair_distance, tol=1e-10)
+        check = certify_cauchy(trace, pair_distance)
         assert check.ok, check.violations[:3]
     passed(3, "gap chaining and geometric tail bound on every produced orbit")
 

@@ -329,6 +329,40 @@ class TestReportCommand:
         assert main(["report", "--in", str(tmp_path)]) == STATUS_USAGE
 
 
+def _file(path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
+def _report_in(directory, data: bytes) -> list[str]:
+    _file(directory / "report.json", data)
+    return ["report", "--in", str(directory)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(lambda d: _report_in(d, b"{not json"), id="report-not-json"),
+        pytest.param(lambda d: _report_in(d, b"[1, 2]"), id="report-json-list"),
+        pytest.param(
+            lambda d: ["solve-fbvp", "--config", str(d), "--out", str(d / "out")],
+            id="config-directory",
+        ),
+        pytest.param(
+            lambda d: ["solve-fbvp", "--config", _file(d / "cfg", b"beta = 1.5\xff\n")],
+            id="config-not-utf8",
+        ),
+        pytest.param(
+            lambda d: ["verify-example", "Ex1_7", "--out", _file(d / "taken", b"")],
+            id="out-is-a-file",
+        ),
+    ],
+)
+def test_unreadable_input_or_unwritable_output_is_usage_error(argv, tmp_path, capsys):
+    assert main(argv(tmp_path)) == STATUS_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestCsvWriters:
     """The block writers against the row-at-a-time ``csv.writer`` form."""
 

@@ -12,6 +12,7 @@ argument outside its domain, so every check is reached on its own.
 import inspect
 import math
 import warnings
+from enum import Enum
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,7 +30,6 @@ from relfix import (
     caputo_derivative_nodes,
     caputo_residual,
     cauchy_bound,
-    certify_cauchy,
     certify_limit_uniqueness,
     check_rlsc,
     check_w3,
@@ -42,14 +42,12 @@ from relfix import (
     lambda_paper,
     lambda_tight,
     probe_uniqueness,
-    related_pairs,
     rl_integral,
     rl_integral_nodes,
     sample_space,
     scalar,
     solve_fbvp,
     universal_relation,
-    verify_theorem,
     witness_d_self_closed,
 )
 from relfix.fixtures import (
@@ -109,7 +107,6 @@ SHRINK_SAMPLE = [scalar(v) for v in (0.0, 0.5, 1.0, 2.0)]
 SEQ, LIMIT = [scalar(1.0)] * 3, scalar(1.0)
 X = grid_fn(GRID, GRID.nodes**2)
 PROBLEM = FbvpProblem(1.5, 0.5, 0.0, constant_source(1.0), GRID)
-TRACE = iterate(SHRINK.map, scalar(2.0), SHRINK.wdistance, 0.75, max_iter=20)
 TAIL = [scalar(v) for v in (2e-7, 1e-7, 0.0)]
 TAIL_BOUNDS = ([[2e-7, 1e-7, 0.0], [1.0, 1.0, 1e-6]], [
     [2e-7, 1e-7, bad] for bad in (*NONFINITE, -1.0, 2e-6)
@@ -121,10 +118,6 @@ ENDS = {"lo": ([-math.inf, -1.0, 0.0], [math.nan, math.inf]),
         "hi": ([1.0, 2.0, math.inf], [math.nan, -math.inf])}
 BETA = reals(1.0, 2.0, "(]")
 ORDER = reals(ends="()", more=[200.0, 1e300])
-BOX = (
-    [(0.0, 2.0), (-1.0, 1.0)],
-    [(0.0, v) for v in (*NONFINITE, 0.0, -1.0)] + [(math.nan, 1.0), (-1e308, 1e308)],
-)
 
 CONTRACT = [
     Entry(Grid, Grid, {"n": counts(1, MAX_GRID_N)}),
@@ -138,18 +131,15 @@ CONTRACT = [
     Entry(sample_space, lambda step: sample_space(SHRINK.space, step=step),
           {"step": reals(ends="()")}),
     Entry(sample_space,
-          lambda count, seed, box: sample_space(
-              function_space(GRID), count=count, seed=seed, box=box),
-          {"count": counts(1), "seed": counts(0), "box": BOX}),
+          lambda count, seed: sample_space(function_space(GRID), count=count, seed=seed),
+          {"count": counts(1), "seed": counts(0)}),
     Entry(witness_d_self_closed,
-          lambda tol, tail_fraction: witness_d_self_closed(
-              universal_relation(), SEQ, LIMIT, tol=tol, tail_fraction=tail_fraction),
-          {"tol": reals(), "tail_fraction": reals(0.0, 1.0, "(]")}),
+          lambda tol: witness_d_self_closed(universal_relation(), SEQ, LIMIT, tol=tol),
+          {"tol": reals()}),
     Entry(check_rlsc,
-          lambda tol, conv_tol, tail_fraction: check_rlsc(
-              METRIC, scalar(0.0), universal_relation(), SEQ, LIMIT, tol,
-              conv_tol=conv_tol, tail_fraction=tail_fraction),
-          {"tol": reals(), "conv_tol": reals(), "tail_fraction": reals(0.0, 1.0, "(]")}),
+          lambda conv_tol: check_rlsc(
+              METRIC, scalar(0.0), universal_relation(), SEQ, LIMIT, conv_tol=conv_tol),
+          {"conv_tol": reals()}),
     Entry(check_w3,
           lambda eps_grid: check_w3(SHRINK.wdistance, SHRINK.space, SHRINK_SAMPLE, eps_grid),
           {"eps_grid": sequences(reals(ends="()"))}),
@@ -159,23 +149,14 @@ CONTRACT = [
           {"lam": reals(), "max_iter": counts(1), "tol": TOL}),
     Entry(cauchy_bound, cauchy_bound,
           {"lam": reals(0.0, 1.0, "[)"), "p01": reals(), "n": counts(0)}),
-    Entry(certify_cauchy, lambda tol: certify_cauchy(TRACE, SHRINK.wdistance, tol),
-          {"tol": reals()}),
     Entry(certify_limit_uniqueness,
           lambda u, v: certify_limit_uniqueness(METRIC, TAIL, scalar(0.0), scalar(0.0), u, v),
           {"u": TAIL_BOUNDS, "v": TAIL_BOUNDS}),
     Entry(probe_uniqueness,
-          lambda lam, decay_tol: probe_uniqueness(
+          lambda lam: probe_uniqueness(
               SHRINK.relation, SHRINK.map, SHRINK.wdistance, lam, [scalar(0.0)], SHRINK_SAMPLE,
-              decay_tol=decay_tol, z_hint=SHRINK.z_hint),
-          {"lam": reals(), "decay_tol": reals()}),
-    Entry(related_pairs, lambda cap: related_pairs(SHRINK.relation, SHRINK_SAMPLE, cap=cap),
-          {"cap": counts(1)}),
-    Entry(verify_theorem,
-          lambda max_iter, tol, pair_cap: verify_theorem(
-              SHRINK.map, SHRINK.space, SHRINK.relation, SHRINK.wdistance, SHRINK_SAMPLE,
-              scalar(1.0), max_iter=max_iter, tol=tol, pair_cap=pair_cap),
-          {"max_iter": counts(1), "tol": TOL, "pair_cap": counts(1)}),
+              z_hint=SHRINK.z_hint),
+          {"lam": reals()}),
     Entry(gamma_fn, gamma_fn, {"z": ORDER}),
     Entry(rl_integral, lambda beta, t_index: rl_integral(X, beta, t_index),
           {"beta": ORDER, "t_index": counts(0, GRID.n)}),
@@ -220,19 +201,53 @@ def test_out_of_domain_values_raise_relfix_errors(entry, data):
 # Result records: their numeric fields are outputs, never arguments.
 RECORDS = {
     "RelationReport", "SubsequenceWitness", "AxiomReport", "OrbitTrace", "FixedPointCertificate",
-    "ContractionEstimate", "PairComparison", "TheoremReport", "FbvpSolution",
+    "ContractionEstimate", "PairComparison", "TheoremReport", "FbvpSolution", "ProbeResult",
+    "CauchyCheck", "ClassicalComparison",
 }
 NUMERIC = {"float", "int", "float | None", "int | None", "tuple[float, float]", "Sequence[float]"}
 
 
-def test_every_public_numeric_argument_is_in_the_contract():
-    covered = {(entry.target, name) for entry in CONTRACT for name in entry.domains}
-    missing = []
+def public_parameters():
+    """``(name, callable, parameter)`` for each parameter of the callables in
+    ``relfix.__all__``, leaving out records, exceptions and enumerations."""
     for name in sorted(set(relfix.__all__) - RECORDS):
         target = getattr(relfix, name)
-        if not callable(target) or isinstance(target, type) and issubclass(target, BaseException):
+        if not callable(target) or isinstance(target, type) and issubclass(
+            target, (BaseException, Enum)
+        ):
             continue
         for param in inspect.signature(target).parameters.values():
-            if param.annotation in NUMERIC and (target, param.name) not in covered:
-                missing.append(f"{name}({param.name})")
+            yield name, target, param
+
+
+def test_every_public_numeric_argument_is_in_the_contract():
+    covered = {(entry.target, name) for entry in CONTRACT for name in entry.domains}
+    missing = [
+        f"{name}({param.name})"
+        for name, target, param in public_parameters()
+        if param.annotation in NUMERIC and (target, param.name) not in covered
+    ]
     assert not missing, f"numeric arguments with no contract entry: {missing}"
+
+
+# Every public parameter with a default, a setting a caller may leave out.
+# Adding or removing one means editing this list.
+SETTINGS = {
+    "FbvpProblem(variant)", "Interval(hi_inclusive)", "Relation(array)", "SelfMap(array)",
+    "WDistance(array)", "check_rlsc(conv_tol)", "estimate_lambda(include_diagonal)",
+    "interval_space(hi_inclusive)", "iterate(max_iter)", "iterate(tol)",
+    "probe_uniqueness(z_hint)", "sample_space(count)", "sample_space(seed)",
+    "sample_space(step)", "solve_fbvp(max_iter)", "solve_fbvp(tol)",
+    "witness_d_self_closed(tol)",
+}
+
+
+def test_public_settings_are_the_committed_list():
+    found = {
+        f"{name}({param.name})"
+        for name, _, param in public_parameters()
+        if param.default is not param.empty
+    }
+    assert found == SETTINGS, (
+        f"added: {sorted(found - SETTINGS)}, removed: {sorted(SETTINGS - found)}"
+    )

@@ -160,14 +160,6 @@ class TestSelfClosedWitness:
         with pytest.raises(PreconditionError):
             witness_d_self_closed(rel, pts(1, 2, 2), scalar(2.0), tol=1.0)
 
-    @pytest.mark.parametrize("fraction", [1.5, 0.0])
-    def test_tail_fraction_outside_unit_interval_rejected(self, fraction):
-        seq = pts(*([1.5] * 11))
-        rel = universal_relation()
-        assert witness_d_self_closed(rel, seq, scalar(1.5), tail_fraction=1.0).tail_start == 0
-        with pytest.raises(PreconditionError, match="tail fraction"):
-            witness_d_self_closed(rel, seq, scalar(1.5), tail_fraction=fraction)
-
     def test_failure_lists_offending_indices(self):
         # descending sequence, but entries below the limit do not relate to it
         rel = Relation.on_scalars("descending", lambda x, y: x >= y)

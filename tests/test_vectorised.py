@@ -59,6 +59,13 @@ def record_of(report):
     return report.to_record()
 
 
+def capped(cap, fn, *args):
+    """``outcome(fn, *args)`` with the pair cap ``verify.PAIR_CAP`` at ``cap``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "PAIR_CAP", cap)
+        return outcome(fn, *args)
+
+
 def battery(fx, sample):
     """Every vectorised check on one fixture; returns {name: outcome}."""
     rel, map_, space = fx.relation, fx.map, fx.space
@@ -75,7 +82,7 @@ def battery(fx, sample):
         "start_points": outcome(find_start_points, rel, map_, sample),
         "complete": outcome(check_complete_on, rel, sample),
         "pairs": ("returned", pairs),
-        "pairs_capped": outcome(related_pairs, rel, sample, cap=37),
+        "pairs_capped": capped(37, related_pairs, rel, sample),
         "estimate": outcome(estimate_lambda, map_, p, rel, pairs),
         "estimate_diag": outcome(estimate_lambda, map_, p, rel, pairs, include_diagonal=True),
         "classical": outcome(compare_classical, map_, space, rel, some_pairs),
@@ -84,8 +91,8 @@ def battery(fx, sample):
         "theorem": outcome(
             lambda: record_of(verify_theorem(map_, space, rel, p, sample, seed))
         ),
-        "theorem_capped": outcome(
-            lambda: record_of(verify_theorem(map_, space, rel, p, sample, seed, pair_cap=41))
+        "theorem_capped": capped(
+            41, lambda: record_of(verify_theorem(map_, space, rel, p, sample, seed))
         ),
     }
     if fx.value_p is not None:

@@ -1,10 +1,12 @@
 """Contraction estimation, classical comparisons, theorem verification."""
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relfix.verify
 import relfix.wdistance
 from relfix import (
     EstimationError,
@@ -100,20 +102,15 @@ class TestEstimateLambda:
         with pytest.raises(EstimationError):
             estimate_lambda(HALVING.map, HALVING.wdistance, HALVING.relation, [])
 
-    def test_pair_cap_subsamples_deterministically(self):
+    def test_pair_cap_subsamples_deterministically(self, monkeypatch):
         sample = sample_space(SHRINK.space, step=0.05)
         full = related_pairs(SHRINK.relation, sample)
-        capped_a = related_pairs(SHRINK.relation, sample, cap=100)
-        capped_b = related_pairs(SHRINK.relation, sample, cap=100)
-        assert len(capped_a) <= 100
+        monkeypatch.setattr(relfix.verify, "PAIR_CAP", 100)
+        capped_a = related_pairs(SHRINK.relation, sample)
+        capped_b = related_pairs(SHRINK.relation, sample)
+        assert len(full) > 100 >= len(capped_a)
         assert capped_a == capped_b
-        assert set(id(x) for x, _ in capped_a) <= set(id(x) for x, _ in full)
-
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_pair_cap_below_one_rejected(self, cap):
-        sample = sample_space(SHRINK.space, step=0.5)
-        with pytest.raises(PreconditionError, match="pair cap"):
-            related_pairs(SHRINK.relation, sample, cap=cap)
+        assert capped_a == list(full)[:: math.ceil(len(full) / 100)]
 
     def test_max_property_bounds_every_checked_pair(self):
         sample = sample_space(SHRINK.space, step=0.05)
@@ -215,7 +212,6 @@ class TestPairSet:
         assert pairs[3:17] == listed[3:17] and pairs[::7] == listed[::7]
         assert pairs[-5:1:-3] == listed[-5:1:-3]
         assert pairs[:5] + pairs[-5:] == listed[:5] + listed[-5:]
-        assert [(id(x), id(y)) for x, y in pairs] == [(id(x), id(y)) for x, y in listed]
         assert pairs == listed
 
     def test_checks_match_the_plain_list(self, key, refine):
@@ -379,18 +375,10 @@ class TestVerifyTheorem:
         fx = fbvp_fixture(problem)
         sample = sample_space(fx.space, count=5, seed=3)
         report = verify_theorem(
-            fx.map, fx.space, fx.relation, fx.wdistance, sample, fx.orbit_seed, tol=1e-8
+            fx.map, fx.space, fx.relation, fx.wdistance, sample, fx.orbit_seed
         )
         assert report.overall is OverallVerdict.ALL_VERIFIED_ON_SAMPLE
         assert report.lambda_hat < problem.L * 1.47
-
-    def test_pair_cap_below_one_rejected(self):
-        sample = sample_space(SHRINK.space, step=0.5)
-        with pytest.raises(PreconditionError, match="pair cap"):
-            verify_theorem(
-                SHRINK.map, SHRINK.space, SHRINK.relation, SHRINK.wdistance, sample,
-                scalar(1.0), pair_cap=0,
-            )
 
     def test_seed_outside_start_set_rejected(self):
         with pytest.raises(PreconditionError):
