@@ -55,20 +55,17 @@ def _json_default(obj):
 
 def _read_text(path: Path, missing: str) -> str:
     """The UTF-8 text of ``path``; ``ConfigError`` with the message
-    ``missing`` when there is no such file, and when it cannot be read."""
+    ``missing`` when there is no such file, and when it is not UTF-8."""
     if not path.exists():
         raise ConfigError(missing)
     try:
         return path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
 def _write_report(out_dir: Path, record: dict) -> None:
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot write to {out_dir}: {exc}") from None
+    out_dir.mkdir(parents=True, exist_ok=True)
     text = json.dumps(record, sort_keys=True, indent=2, default=_json_default) + "\n"
     (out_dir / REPORT_NAME).write_text(text)
 
@@ -564,7 +561,7 @@ def main(argv=None) -> int:
         if args.command == "solve-fbvp":
             return run_solve_fbvp(args.config, args.out)
         return run_report(args.in_dir)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return STATUS_USAGE
     except RelfixError as exc:

@@ -377,8 +377,9 @@ def evaluate_pairs(
 
     When ``array`` is given and every point is a ``ScalarPoint`` it is
     broadcast over the values of ``as_sample``, a block of rows at a time;
-    otherwise ``fn`` runs once per pair inside the mask, a row at a time.
-    This is the only place the two evaluation paths part.
+    otherwise ``fn`` runs once per pair inside the mask, a row at a time,
+    on points read once from each side.  This is the only place the two
+    evaluation paths part.
     """
     if at is not None:
         i, j = (np.asarray(k, dtype=np.intp) for k in at)
@@ -399,6 +400,7 @@ def evaluate_pairs(
                 else:
                     np.copyto(out[rows], value, casting="unsafe", where=where[rows])
         return out
+    xs, ys = list(xs), list(ys)
     if at is not None:
         out[:] = [fn(xs[a], ys[b]) for a, b in zip(i.tolist(), j.tolist())]
         return out

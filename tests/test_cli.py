@@ -339,6 +339,11 @@ def _report_in(directory, data: bytes) -> list[str]:
     return ["report", "--in", str(directory)]
 
 
+def _out_with_directory_at(directory, name: str) -> list[str]:
+    (directory / name).mkdir()
+    return ["verify-example", "Ex2_4", "--out", str(directory)]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -355,6 +360,12 @@ def _report_in(directory, data: bytes) -> list[str]:
         pytest.param(
             lambda d: ["verify-example", "Ex1_7", "--out", _file(d / "taken", b"")],
             id="out-is-a-file",
+        ),
+        pytest.param(
+            lambda d: _out_with_directory_at(d, "report.json"), id="report-path-is-a-directory"
+        ),
+        pytest.param(
+            lambda d: _out_with_directory_at(d, "orbit.csv"), id="csv-path-is-a-directory"
         ),
     ],
 )

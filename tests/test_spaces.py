@@ -257,6 +257,23 @@ class TestScalarSample:
         assert self.sample != self.listed[:-1]
         assert all(type(pt) is ScalarPoint for pt in self.sample)
 
+    @pytest.mark.parametrize("at", [None, ([0, 8, 4] * 9, list(range(9)) * 3)])
+    def test_per_pair_callbacks_build_each_point_once_per_call(self, at, monkeypatch):
+        built = []
+        post_init = ScalarPoint.__post_init__
+
+        def counted_post_init(point):
+            built.append(1)
+            post_init(point)
+
+        monkeypatch.setattr(ScalarPoint, "__post_init__", counted_post_init)
+        squared = WDistance.on_scalars("squared", lambda x, y: (x - y) ** 2)
+        if at is None:
+            squared.matrix(self.sample, self.sample)
+        else:
+            squared.at(self.sample, self.sample, *at)
+        assert len(built) <= 2 * len(self.sample)
+
     def test_map_to_infinity_rejected_when_the_sample_is_mapped(self):
         blow_up = SelfMap.elementwise("blow_up", lambda v: np.where(v > 1.0, np.inf, v))
         with pytest.raises(DomainError, match="must be finite, got inf"):

@@ -27,6 +27,7 @@ from relfix.fixtures import (
     ordered_halving_fixture,
     product_shrink_fixture,
 )
+from relfix.wdistance import LSC_SLACK
 
 
 def pts(*values):
@@ -143,6 +144,24 @@ class TestRelationLsc:
             METRIC, scalar(0.0), universal_relation(), seq, scalar(2.0), conv_tol=0.05
         )
         assert report.ok
+
+    @pytest.mark.parametrize("below, ok", [(0.5, True), (1.0, True), (2.0, False)])
+    def test_tail_may_sit_below_the_limit_value_by_the_slack_alone(self, below, ok):
+        seq = pts(*([2.0 - below * LSC_SLACK] * 8))
+        report = check_rlsc(
+            METRIC, scalar(0.0), universal_relation(), seq, scalar(2.0), conv_tol=4 * LSC_SLACK
+        )
+        assert report.ok == ok
+
+    def test_truncated_sequence_from_below_fails(self):
+        # the tail sits under the limit value by its convergence gap, which
+        # is far more than LSC_SLACK
+        seq = [scalar(2.0 - 1.0 / (n + 1)) for n in range(1, 50)]
+        report = check_rlsc(
+            METRIC, scalar(0.0), universal_relation(), seq, scalar(2.0), conv_tol=0.05
+        )
+        assert report.verdict is Verdict.FAILS_WITH_WITNESS
+        assert report.detail["at_limit"] - report.detail["tail_min"] > LSC_SLACK
 
 
 LUMPY = WDistance.elementwise(
