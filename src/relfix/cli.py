@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import CSV_BLOCK_ROWS, UniquenessVerdict, certify_cauchy, iterate, probe_uniqueness
-from .errors import ConfigError, DivergenceError, PreconditionError, RelfixError
+from .errors import ConfigError, DivergenceError, PreconditionError, RelfixError, SamplingError
 from .errors import check_count, check_real
 from .fixtures import FIXTURES, F_REGISTRY, Fixture
 from .fractional import FbvpProblem, OperatorVariant, solve_fbvp
@@ -501,20 +501,29 @@ def run_solve_fbvp(config_path: Path, out_dir: Path) -> int:
 # report
 
 
+def _json_object(value, what: str) -> dict:
+    """``value`` when it is a JSON object; otherwise ``ConfigError``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} holds a JSON {type(value).__name__}, not an object")
+    return value
+
+
 def run_report(in_dir: Path) -> int:
     path = in_dir / REPORT_NAME
     try:
         record = json.loads(_read_text(path, f"no {REPORT_NAME} in {in_dir}"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not JSON: {exc}") from None
-    if not isinstance(record, dict):
-        raise ConfigError(f"{path} holds a JSON {type(record).__name__}, not a report object")
+    record = _json_object(record, str(path))
+    checks = _json_object(record.get("checks", {}), f"{path} checks")
+    summary = _json_object(record.get("summary", {}), f"{path} summary")
+    for name, check in checks.items():
+        _json_object(check, f"{path} check {name!r}")
     print(f"command: {record.get('command')}")
-    for name, check in sorted(record.get("checks", {}).items()):
+    for name, check in sorted(checks.items()):
         print(f"{'PASS' if check.get('pass') else 'FAIL'}  {name}")
     for advisory in record.get("advisories", []):
         print(f"note  {advisory}")
-    summary = record.get("summary", {})
     print(
         f"summary: {summary.get('check_count', 0)} checks, "
         f"all_pass = {summary.get('all_pass', False)}"
@@ -561,7 +570,7 @@ def main(argv=None) -> int:
         if args.command == "solve-fbvp":
             return run_solve_fbvp(args.config, args.out)
         return run_report(args.in_dir)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, SamplingError, OSError) as exc:  # a sampling fault is a bad --step
         print(f"error: {exc}", file=sys.stderr)
         return STATUS_USAGE
     except RelfixError as exc:

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import PreconditionError, check_real
 from .spaces import (
     Point,
+    _Lazy,
     as_sample,
     as_scalar,
     as_values,
@@ -48,6 +49,8 @@ __all__ = [
 
 # Share of a finite sequence, from its end, that stands in for its infinite tail.
 TAIL_FRACTION = 0.25
+# Largest distance from a sequence's last entry to its limit in ``witness_d_self_closed``.
+LIMIT_TOL = 1e-9
 
 
 class RelationProperty(Enum):
@@ -116,7 +119,7 @@ class RelationReport:
 
     prop: RelationProperty
     verdict: Verdict
-    witnesses: tuple[tuple[Point, Point], ...]
+    witnesses: Sequence[tuple[Point, Point]]
     sample_size: int
 
     def __post_init__(self) -> None:
@@ -173,10 +176,12 @@ def _check_closed(
     sample = nonempty_sample(sample)
     images = map_.apply_all(sample)
     related = rel.matrix(sample, sample)
-    kept = rel.matrix(images, images, where=related)
+    bad = rel.matrix(images, images, where=related)
+    bad ^= related  # the related pairs whose images are not related
     if either_order:
-        kept |= rel.matrix(images, images, where=(related & ~kept).T).T
-    bad = tuple((sample[i], sample[j]) for i, j in np.argwhere(related & ~kept))
+        bad ^= rel.matrix(images, images, where=bad.T).T
+    i, j = np.nonzero(bad)  # witness pairs are built when read
+    bad = _Lazy(i.size, lambda k: (sample[i[k]], sample[j[k]]))
     verdict = Verdict.FAILS_WITH_WITNESS if bad else Verdict.HOLDS_ON_SAMPLE
     prop = RelationProperty.WEAK_T_CLOSED if either_order else RelationProperty.T_CLOSED
     return RelationReport(prop, verdict, bad, len(sample))
@@ -206,9 +211,10 @@ def find_start_points(
 def check_complete_on(rel: Relation, sample: Sequence[Point]) -> RelationReport:
     """Is every sampled pair, including the diagonal, related in some order?"""
     sample = nonempty_sample(sample)
-    related = rel.matrix(sample, sample)
-    unrelated = np.triu(~(related | related.T))
-    bad = tuple((sample[i], sample[j]) for i, j in np.argwhere(unrelated))
+    unrelated = ~rel.matrix(sample, sample)
+    unrelated &= unrelated.T  # numpy buffers the overlapping transpose
+    i, j = np.nonzero(np.triu(unrelated))
+    bad = _Lazy(i.size, lambda k: (sample[i[k]], sample[j[k]]))
     verdict = Verdict.FAILS_WITH_WITNESS if bad else Verdict.HOLDS_ON_SAMPLE
     return RelationReport(RelationProperty.COMPLETE, verdict, bad, len(sample))
 
@@ -227,19 +233,14 @@ class SubsequenceWitness:
     tail_start: int
 
 
-def witness_d_self_closed(
-    rel: Relation, seq: Sequence[Point], limit: Point, *, tol: float = 1e-9
-) -> SubsequenceWitness:
+def witness_d_self_closed(rel: Relation, seq: Sequence[Point], limit: Point) -> SubsequenceWitness:
     """Check the subsequence-to-limit condition on a finite sequence.
 
     The sequence must be preserving and its final entry must lie within
-    ``tol`` of ``limit``; otherwise a ``PreconditionError`` is raised.
+    ``LIMIT_TOL`` of ``limit``; otherwise a ``PreconditionError`` is raised.
     """
-    seq, window = preserving_tail(rel, seq, limit, tol)
+    seq, window = preserving_tail(rel, seq, limit, LIMIT_TOL)
     related = rel.matrix(seq, [limit])[:, 0]
     tail_start = len(seq) - window
-    if related[tail_start:].all():
-        good = tuple(i for i, r in enumerate(related) if r)
-        return SubsequenceWitness(True, good, tail_start)
-    bad = tuple(i for i, r in enumerate(related) if not r)
-    return SubsequenceWitness(False, bad, tail_start)
+    ok = bool(related[tail_start:].all())
+    return SubsequenceWitness(ok, tuple(np.flatnonzero(related == ok).tolist()), tail_start)

@@ -187,27 +187,18 @@ class _WorstRatio:
         self.violations: list[tuple[Point, Point]] = []
 
     def add(
-        self,
-        pair_at: Callable[[int], tuple[Point, Point]],
-        base: np.ndarray,
-        image: np.ndarray,
-        diagonal: np.ndarray,
+        self, pair_at: Callable[[int], tuple[Point, Point]], ratios: np.ndarray, pairs: int,
+        zero: np.ndarray, moved: np.ndarray,
     ) -> None:
-        """Fold in one chunk: p(x, y), p(Tx, Ty) and the diagonal flag per
-        pair; ``pair_at(k)`` is the chunk's k-th pair."""
-        keep = np.ones_like(diagonal) if self.include_diagonal else ~diagonal
-        zero = keep & (base == 0.0)
-        self.checked += int(np.count_nonzero(keep))
+        """Fold in one chunk of ``pairs`` pairs: ``ratios``, ``zero`` and
+        ``moved`` as ``_ratios`` leaves them, and ``pair_at(k)`` the pair at
+        flat position k of these arrays."""
+        self.checked += pairs
         self.zero_pairs += int(np.count_nonzero(zero))
-        self.violations += [pair_at(k) for k in np.flatnonzero(zero & (image > 0.0))]
-        at = np.flatnonzero(keep & ~zero)
-        if not at.size:
-            return
-        ratios = image[at] / base[at]
-        top = int(np.argmax(ratios))
-        if self.witness is None or ratios[top] > self.best:
-            self.best = float(ratios[top])
-            self.witness = pair_at(int(at[top]))
+        self.violations += [pair_at(k) for k in np.flatnonzero(moved)]
+        worst = float(ratios.max(initial=-math.inf))
+        if worst > -math.inf and (self.witness is None or worst > self.best):
+            self.best, self.witness = worst, pair_at(int(np.argmax(ratios)))
 
     def estimate(self) -> ContractionEstimate:
         return ContractionEstimate(
@@ -218,6 +209,17 @@ class _WorstRatio:
             tuple(self.violations),
             self.include_diagonal,
         )
+
+
+def _ratios(base: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Turn ``image``, p(Tx, Ty), in place into p(Tx, Ty) / p(x, y) where p(x, y) > 0
+    and -inf elsewhere; returns the masks p(x, y) = 0 and p(x, y) = 0 < p(Tx, Ty)."""
+    zero = base == 0.0
+    moved = zero & (image > 0.0)
+    positive = base > 0.0
+    np.divide(image, base, out=image, where=positive)
+    image[~positive] = -math.inf
+    return zero, moved
 
 
 def _index_pairs(
@@ -279,17 +281,14 @@ def estimate_lambda(
     points, i, j = _index_pairs(rel, pairs)
     if not i.size:
         raise EstimationError("cannot estimate a contraction factor from an empty pair set")
-    diagonal = _SAME_POINT.at(points, points, i, j)
     if not include_diagonal:
-        i, j, diagonal = i[~diagonal], j[~diagonal], diagonal[~diagonal]
+        off = ~_SAME_POINT.at(points, points, i, j)
+        i, j = i[off], j[off]
     images = map_.apply_all(points)
+    ratios = p.at(images, images, i, j)
+    zero, moved = _ratios(p.at(points, points, i, j), ratios)
     worst = _WorstRatio(include_diagonal)
-    worst.add(
-        lambda k: (points[i[k]], points[j[k]]),
-        p.at(points, points, i, j),
-        p.at(images, images, i, j),
-        diagonal,
-    )
+    worst.add(lambda k: (points[i[k]], points[j[k]]), ratios, i.size, zero, moved)
     return worst.estimate()
 
 
@@ -343,7 +342,7 @@ def _sample_estimates(
     pairs, strided down as ``related_pairs`` does past ``PAIR_CAP``.
 
     Only the relation is held for the whole sample; the pair distances are
-    evaluated a block of rows at a time.
+    evaluated a block of rows at a time and folded into ratios in place.
     """
     m = len(sample)
     images = map_.apply_all(sample)
@@ -356,22 +355,27 @@ def _sample_estimates(
     seen = 0
     for rows in row_blocks(m, m):
         selected = related[rows]
-        chosen = np.flatnonzero(selected)
         if stride > 1:
+            chosen = np.flatnonzero(selected)
             kept = (seen + np.arange(chosen.size)) % stride == 0
             seen += chosen.size
             selected.flat[chosen[~kept]] = False  # thins ``related`` in place
-            chosen = chosen[kept]
-        base = p.matrix(sample[rows], sample, where=selected).ravel()[chosen]
-        image = p.matrix(images[rows], images, where=selected).ravel()[chosen]
-        diagonal = _SAME_POINT.matrix(sample[rows], sample, where=selected).ravel()[chosen]
+            del chosen, kept
+        diagonal = _SAME_POINT.matrix(sample[rows], sample, where=selected)
+        base = p.matrix(sample[rows], sample, where=selected)
+        ratios = p.matrix(images[rows], images, where=selected)
+        zero, moved = _ratios(base, ratios)
 
-        def pair_at(k: int, start: int = rows.start, chosen: np.ndarray = chosen):
-            i, j = divmod(int(chosen[k]), m)
+        def pair_at(k: int, start: int = rows.start):
+            i, j = divmod(int(k), m)
             return sample[start + i], sample[j]
 
-        plain.add(pair_at, base, image, diagonal)
-        with_diagonal.add(pair_at, base, image, diagonal)
+        pairs = int(np.count_nonzero(selected))
+        with_diagonal.add(pair_at, ratios, pairs, zero, moved)
+        ratios[diagonal] = -math.inf
+        zero[diagonal] = moved[diagonal] = False
+        plain.add(pair_at, ratios, pairs - int(np.count_nonzero(diagonal)), zero, moved)
+        del diagonal, base, ratios, zero, moved
     return plain.estimate(), with_diagonal.estimate()
 
 

@@ -193,10 +193,11 @@ def check_triangle(p: WDistance, sample: Sequence[Point]) -> AxiomReport:
     violations = 0
     witnesses: list[TriangleWitness] = []
     for rows in row_blocks(m, m * m):
-        # lhs[i, j, k] = p(x_i, z_k), rhs[i, j, k] = p(x_i, y_j) + p(y_j, z_k)
-        lhs = P[rows, None, :]
+        # bad[i, j, k]: p(x_i, z_k) > p(x_i, y_j) + p(y_j, z_k) + TRIANGLE_SLACK
         rhs = P[rows, :, None] + P[None, :, :]
-        bad = lhs > rhs + TRIANGLE_SLACK
+        rhs += TRIANGLE_SLACK
+        bad = P[rows, None, :] > rhs
+        del rhs
         count = int(np.count_nonzero(bad))
         violations += count
         if not count or len(witnesses) == 50:

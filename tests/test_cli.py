@@ -86,8 +86,9 @@ class TestVerifyExample:
     @pytest.mark.parametrize("step", ["nan", "1e-300"])
     def test_bad_step_is_an_error(self, step, tmp_path, capsys):
         args = ["verify-example", "Ex2_4", "--step", step, "--out", str(tmp_path / "bad")]
-        assert main(args) == STATUS_CHECK_FAILED
+        assert main(args) == STATUS_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "bad").exists()
 
 
 def run_module(module, *args, cwd):
@@ -349,6 +350,12 @@ def _out_with_directory_at(directory, name: str) -> list[str]:
     [
         pytest.param(lambda d: _report_in(d, b"{not json"), id="report-not-json"),
         pytest.param(lambda d: _report_in(d, b"[1, 2]"), id="report-json-list"),
+        pytest.param(lambda d: _report_in(d, b'{"checks": [1]}'), id="report-checks-list"),
+        pytest.param(lambda d: _report_in(d, b'{"summary": 3}'), id="report-summary-number"),
+        pytest.param(
+            lambda d: _report_in(d, b'{"checks": {"a": {"pass": true}, "b": "x"}}'),
+            id="report-check-entry-string",
+        ),
         pytest.param(
             lambda d: ["solve-fbvp", "--config", str(d), "--out", str(d / "out")],
             id="config-directory",

@@ -48,7 +48,6 @@ from relfix import (
     scalar,
     solve_fbvp,
     universal_relation,
-    witness_d_self_closed,
 )
 from relfix.fixtures import (
     affine_source,
@@ -133,9 +132,6 @@ CONTRACT = [
     Entry(sample_space,
           lambda count, seed: sample_space(function_space(GRID), count=count, seed=seed),
           {"count": counts(1), "seed": counts(0)}),
-    Entry(witness_d_self_closed,
-          lambda tol: witness_d_self_closed(universal_relation(), SEQ, LIMIT, tol=tol),
-          {"tol": reals()}),
     Entry(check_rlsc,
           lambda conv_tol: check_rlsc(
               METRIC, scalar(0.0), universal_relation(), SEQ, LIMIT, conv_tol=conv_tol),
@@ -238,7 +234,6 @@ SETTINGS = {
     "interval_space(hi_inclusive)", "iterate(max_iter)", "iterate(tol)",
     "probe_uniqueness(z_hint)", "sample_space(count)", "sample_space(seed)",
     "sample_space(step)", "solve_fbvp(max_iter)", "solve_fbvp(tol)",
-    "witness_d_self_closed(tol)",
 }
 
 

@@ -9,7 +9,9 @@ from relfix import (
     Relation,
     SelfMap,
     Verdict,
+    WDistance,
     check_complete_on,
+    check_rlsc,
     check_t_closed,
     check_weak_t_closed,
     constant_grid_fn,
@@ -133,10 +135,10 @@ class TestCompleteness:
 class TestSelfClosedWitness:
     def test_decreasing_sequence_relates_to_its_limit(self):
         rel = ordered_halving_fixture().relation
-        seq = [scalar(2.0 + 1.0 / n) for n in range(1, 101)]
-        witness = witness_d_self_closed(rel, seq, scalar(2.0), tol=0.011)
+        seq = [scalar(2.0 + 1.0 / n) for n in range(1, 101)] + [scalar(2.0)]
+        witness = witness_d_self_closed(rel, seq, scalar(2.0))
         assert witness.ok
-        assert witness.indices == tuple(range(100))
+        assert witness.indices == tuple(range(101))
 
     def test_nonnegative_grid_functions_relate_to_limit(self):
         problem = FbvpProblem(beta=1.5, k=0.5, L=0.0, f=constant_source(1.0), grid=Grid(8))
@@ -145,8 +147,8 @@ class TestSelfClosedWitness:
         seq = [
             grid_fn(problem.grid, (1.0 + 1.0 / (n + 1)) * limit.values)
             for n in range(1, 80)
-        ]
-        witness = witness_d_self_closed(rel, seq, limit, tol=0.02)
+        ] + [limit]
+        witness = witness_d_self_closed(rel, seq, limit)
         assert witness.ok
 
     def test_constant_sequence_with_reflexive_limit(self):
@@ -158,16 +160,15 @@ class TestSelfClosedWitness:
     def test_non_preserving_sequence_rejected(self):
         rel = ordered_halving_fixture().relation
         with pytest.raises(PreconditionError):
-            witness_d_self_closed(rel, pts(1, 2, 2), scalar(2.0), tol=1.0)
+            witness_d_self_closed(rel, pts(1, 2, 2), scalar(2.0))
 
     def test_failure_lists_offending_indices(self):
-        # descending sequence, but entries below the limit do not relate to it
-        rel = Relation.on_scalars("descending", lambda x, y: x >= y)
-        bad = witness_d_self_closed(
-            rel, pts(4, 3, 2, 1.5, 0.5, 0.25), scalar(1.0), tol=0.8
-        )
+        # strictly descending by at most 2: the first entry is too far above
+        # the limit and the last one equals it
+        rel = Relation.on_scalars("short_descent", lambda x, y: 0 < x - y <= 2)
+        bad = witness_d_self_closed(rel, pts(4, 3, 2, 1.5, 1), scalar(1.0))
         assert not bad.ok
-        assert bad.indices == (4, 5)
+        assert bad.indices == (0, 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -204,9 +205,13 @@ def test_order_preserving_sequences_are_exactly_the_nonincreasing_ones(seq):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
 def test_convergence_tolerance_must_be_finite_and_nonnegative(bad):
-    # the tail sits 4.0 from the limit, which a finite tolerance of 0.02 rejects
+    # the tail sits 4.0 from the limit: LIMIT_TOL and a finite conv_tol of 0.02
+    # reject it, and check_rlsc rejects a conv_tol outside [0, inf)
     seq, limit = pts(5, 5, 5), scalar(1.0)
     with pytest.raises(PreconditionError, match="above tolerance"):
-        witness_d_self_closed(universal_relation(), seq, limit, tol=0.02)
+        witness_d_self_closed(universal_relation(), seq, limit)
+    metric = WDistance.from_metric()
+    with pytest.raises(PreconditionError, match="above tolerance"):
+        check_rlsc(metric, scalar(0.0), universal_relation(), seq, limit, conv_tol=0.02)
     with pytest.raises(PreconditionError, match="finite and nonnegative"):
-        witness_d_self_closed(universal_relation(), seq, limit, tol=bad)
+        check_rlsc(metric, scalar(0.0), universal_relation(), seq, limit, conv_tol=bad)

@@ -45,6 +45,7 @@ from relfix import (
 from relfix import verify
 from relfix.cli import main
 from relfix.fixtures import FIXTURES, product_shrink_fixture
+from relfix.spaces import BLOCK_ELEMENTS
 
 
 def outcome(fn, *args, **kwargs):
@@ -218,6 +219,23 @@ def test_theorem_on_fine_shrink_sample_in_bounded_memory():
     assert peak < 16 * 1024 * 1024, peak
 
 
+def test_sample_estimates_hold_the_relation_and_a_few_row_blocks():
+    # Ex2_4 at its default step: 201 points, row blocks of 81 x 201 floats
+    fx = product_shrink_fixture()
+    sample = sample_space(fx.space, step=fx.default_step)
+    m = len(sample)
+    args = (fx.map, fx.wdistance, fx.relation, sample)
+    verify._sample_estimates(*args)
+    tracemalloc.start()
+    try:
+        plain, _ = verify._sample_estimates(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m == 201 and plain.lambda_hat == 0.75
+    assert peak < m * m + 5 * BLOCK_ELEMENTS * 8, peak
+
+
 class PointBuilds:
     """Counts ``ScalarPoint`` constructions while installed."""
 
@@ -255,3 +273,25 @@ def test_space_check_builds_at_most_the_first_point_outside(monkeypatch):
     monkeypatch.setattr(verify, "check_space", counted)
     compare_classical(fx.map, fx.space, fx.relation, pairs)
     assert len(inside) == 1 and inside[0] <= 1, inside
+
+
+def test_closure_witnesses_built_only_when_read(monkeypatch):
+    # Ex1_7's parity relation fails map-closedness on 100 pairs of its
+    # 20-point sample; a report keeps the first ten
+    fx = FIXTURES["Ex1_7"]()
+    sample = sample_space(fx.space, step=fx.default_step)
+    builds = PointBuilds(monkeypatch)
+    closed = check_t_closed(fx.relation, fx.map, sample)
+    record = closed.to_record()
+    assert record["witness_count"] == 100 and len(record["witnesses"]) == 10
+    assert builds.count <= 20, builds.count
+    assert (scalar(2.0), scalar(3.0)) in closed.witnesses and closed.witnesses
+
+
+def test_completeness_witnesses_built_only_when_read(monkeypatch):
+    fx = FIXTURES["Ex1_7"]()
+    sample = sample_space(fx.space, step=fx.default_step)
+    builds = PointBuilds(monkeypatch)
+    record = check_complete_on(fx.relation, sample).to_record()
+    assert record["witness_count"] > 10 and len(record["witnesses"]) == 10
+    assert builds.count <= 20, builds.count

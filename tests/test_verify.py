@@ -3,17 +3,21 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relfix.spaces
 import relfix.verify
 import relfix.wdistance
 from relfix import (
+    ContractionEstimate,
     EstimationError,
     Grid,
     OverallVerdict,
     PairComparison,
     PreconditionError,
+    Relation,
     RelfixError,
     SelfMap,
     ShapeError,
@@ -39,6 +43,7 @@ from relfix.fixtures import (
     sine_mix_source,
 )
 from relfix.fractional import FbvpProblem
+from relfix.spaces import as_sample
 
 
 SHRINK = product_shrink_fixture()
@@ -405,3 +410,63 @@ def test_estimate_monotone_in_pair_set(subset_size, extra_size):
     est_small = estimate_lambda(SHRINK.map, SHRINK.wdistance, SHRINK.relation, base)
     est_big = estimate_lambda(SHRINK.map, SHRINK.wdistance, SHRINK.relation, bigger)
     assert est_big.lambda_hat >= est_small.lambda_hat
+
+
+def scan_estimates(map_, p, rel, sample, cap):
+    """Both contraction estimates, without and then with the diagonal, by a
+    plain scan of the related sample pairs in row-major order, every k-th
+    one kept when there are more than ``cap``."""
+    related = [(x, y) for x in sample for y in sample if rel(x, y)]
+    related = related[:: math.ceil(len(related) / cap)]
+    estimates = []
+    for include_diagonal in (False, True):
+        best, witness, checked, zero, violations = 0.0, None, 0, 0, []
+        for x, y in related:
+            if not include_diagonal and x == y:
+                continue
+            checked += 1
+            base, image = p(x, y), p(map_.apply(x), map_.apply(y))
+            if base == 0.0:
+                zero += 1
+                violations += [(x, y)] if image > 0.0 else []
+            elif witness is None or image / base > best:
+                best, witness = image / base, (x, y)
+        estimates.append(
+            ContractionEstimate(best, witness, checked, zero, tuple(violations), include_diagonal)
+        )
+    return tuple(estimates)
+
+
+# p(x, y) = 0 on every pair with y <= x, so pairs that the fold map reverses
+# are zero-p violations; p(x, y) = y is positive on the diagonal off 0, and
+# every related pair (x, 0) is a violation.
+SCAN_DISTANCES = {
+    "forward_gap": WDistance.elementwise("forward_gap", lambda x, y: np.maximum(y - x, 0.0)),
+    "second_coordinate": WDistance.elementwise("second_coordinate", lambda x, y: y + 0.0 * x),
+}
+SCAN_RELATION = Relation.elementwise(
+    "quarter_sum_not_3k", lambda x, y: (np.floor(4 * x) + np.floor(4 * y)) % 3 != 0
+)
+SCAN_MAP = SelfMap.elementwise("fold", lambda v: np.abs(v - 1.25) * 0.5)
+
+
+@pytest.mark.parametrize("block", [None, 64], ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize("cap", [None, 37], ids=["all-pairs", "strided"])
+@pytest.mark.parametrize("distance", sorted(SCAN_DISTANCES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_estimates_match_a_plain_scan(seed, distance, cap, block, monkeypatch):
+    # 40 draws from 12 quarter values: repeated points put same-point pairs
+    # off the index diagonal, and tied ratios test that the first maximum wins
+    values = np.random.default_rng(seed).integers(0, 12, size=40) / 4.0
+    sample = as_sample([scalar(v) for v in values])
+    p = SCAN_DISTANCES[distance]
+    if cap is not None:
+        monkeypatch.setattr(relfix.verify, "PAIR_CAP", cap)
+    if block is not None:
+        monkeypatch.setattr(relfix.spaces, "BLOCK_ELEMENTS", block)
+    got = relfix.verify._sample_estimates(SCAN_MAP, p, SCAN_RELATION, sample)
+    want = scan_estimates(SCAN_MAP, p, SCAN_RELATION, sample, relfix.verify.PAIR_CAP)
+    assert got == want
+    assert got[1].pairs_checked <= relfix.verify.PAIR_CAP
+    assert got[0].pairs_checked < got[1].pairs_checked
+    assert got[0].zero_p_violations and got[0].lambda_hat > 0.0
