@@ -519,10 +519,13 @@ def run_report(in_dir: Path) -> int:
     summary = _json_object(record.get("summary", {}), f"{path} summary")
     for name, check in checks.items():
         _json_object(check, f"{path} check {name!r}")
+    advisories = record.get("advisories", [])
+    if not isinstance(advisories, list) or not all(isinstance(a, str) for a in advisories):
+        raise ConfigError(f"{path} advisories are not a JSON array of strings")
     print(f"command: {record.get('command')}")
     for name, check in sorted(checks.items()):
         print(f"{'PASS' if check.get('pass') else 'FAIL'}  {name}")
-    for advisory in record.get("advisories", []):
+    for advisory in advisories:
         print(f"note  {advisory}")
     print(
         f"summary: {summary.get('check_count', 0)} checks, "

@@ -122,7 +122,8 @@ def _plateau(v):
 
 
 def _product_leq_coordinate(x, y):
-    return (x * y <= x) | (x * y <= y)
+    product = x * y
+    return (product <= x) | (product <= y)
 
 
 def jump_plateau_fixture() -> Fixture:

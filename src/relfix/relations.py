@@ -18,6 +18,7 @@ import numpy as np
 from .errors import PreconditionError, check_real
 from .spaces import (
     Point,
+    _block_indices,
     _Lazy,
     as_sample,
     as_scalar,
@@ -26,6 +27,7 @@ from .spaces import (
     evaluate_pairs,
     nonempty_sample,
     point_distance,
+    row_blocks,
     take,
 )
 
@@ -175,13 +177,18 @@ def _check_closed(
 ) -> RelationReport:
     sample = nonempty_sample(sample)
     images = map_.apply_all(sample)
-    related = rel.matrix(sample, sample)
-    bad = rel.matrix(images, images, where=related)
-    bad ^= related  # the related pairs whose images are not related
-    if either_order:
-        bad ^= rel.matrix(images, images, where=bad.T).T
-    i, j = np.nonzero(bad)  # witness pairs are built when read
-    bad = _Lazy(i.size, lambda k: (sample[i[k]], sample[j[k]]))
+
+    def failing(rows: slice) -> np.ndarray:
+        bad = rel.matrix(sample[rows], sample)
+        # the related pairs whose images are not related
+        bad ^= rel.matrix(images[rows], images, where=bad)
+        if either_order:
+            bad ^= rel.matrix(images, images[rows], where=bad.T).T
+        return bad
+
+    m = len(sample)
+    i, j = _block_indices((rows, 0, failing(rows)) for rows in row_blocks(m, m))
+    bad = _Lazy(i.size, lambda k: (sample[i[k]], sample[j[k]]))  # built when read
     verdict = Verdict.FAILS_WITH_WITNESS if bad else Verdict.HOLDS_ON_SAMPLE
     prop = RelationProperty.WEAK_T_CLOSED if either_order else RelationProperty.T_CLOSED
     return RelationReport(prop, verdict, bad, len(sample))
@@ -211,9 +218,17 @@ def find_start_points(
 def check_complete_on(rel: Relation, sample: Sequence[Point]) -> RelationReport:
     """Is every sampled pair, including the diagonal, related in some order?"""
     sample = nonempty_sample(sample)
-    unrelated = ~rel.matrix(sample, sample)
-    unrelated &= unrelated.T  # numpy buffers the overlapping transpose
-    i, j = np.nonzero(np.triu(unrelated))
+
+    def unrelated(rows: slice) -> np.ndarray:
+        # the pairs (i, j) with j >= i: columns from the block's first row on
+        head, tail = sample[rows], sample[rows.start :]
+        out = ~np.tri(len(head), len(tail), -1, dtype=bool)
+        out &= ~rel.matrix(head, tail, where=out)
+        out &= ~rel.matrix(tail, head, where=out.T).T
+        return out
+
+    m = len(sample)
+    i, j = _block_indices((rows, rows.start, unrelated(rows)) for rows in row_blocks(m, m))
     bad = _Lazy(i.size, lambda k: (sample[i[k]], sample[j[k]]))
     verdict = Verdict.FAILS_WITH_WITNESS if bad else Verdict.HOLDS_ON_SAMPLE
     return RelationReport(RelationProperty.COMPLETE, verdict, bad, len(sample))

@@ -361,6 +361,20 @@ def row_blocks(rows: int, width: int):
         yield slice(start, min(start + step, rows))
 
 
+def _block_indices(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays, in row-major order, of the True entries
+    of a bool array met in order as ``(rows, left, mask)``: ``mask`` holds
+    the entries of the rows ``rows`` from column ``left`` on, and the
+    entries left of it are False."""
+    i, j = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for rows, left, mask in blocks:
+        r, c = np.nonzero(mask)  # two views of one buffer, which the sums below free
+        i.append(r + rows.start)
+        j.append(c + left)
+    i = np.concatenate(i)  # frees the row pieces before the column ones are joined
+    return i, np.concatenate(j)
+
+
 def evaluate_pairs(
     fn: Callable[[Point, Point], object],
     array: Callable | None,

@@ -35,6 +35,7 @@ from .relations import (
 from .spaces import (
     MetricSpace,
     Point,
+    _block_indices,
     _Lazy,
     as_sample,
     check_space,
@@ -252,6 +253,31 @@ def _index_pairs(
     return points, i, j
 
 
+def _related_blocks(rel: Relation, sample: Sequence[Point]):
+    """The row blocks ``rows`` of sample x sample, each with the bool mask of
+    the related pairs in ``sample[rows]`` x ``sample``.  Past ``PAIR_CAP``
+    related pairs only every k-th one in row-major order stays True, k the
+    least stride that keeps at most ``PAIR_CAP``; the pairs are counted
+    first, in a pass of their own, only when m^2 exceeds ``PAIR_CAP``."""
+    m = len(sample)
+    stride = 1
+    if m * m > PAIR_CAP:
+        total = sum(
+            int(np.count_nonzero(rel.matrix(sample[rows], sample))) for rows in row_blocks(m, m)
+        )
+        stride = max(1, math.ceil(total / PAIR_CAP))
+    seen = 0
+    for rows in row_blocks(m, m):
+        related = rel.matrix(sample[rows], sample)
+        if stride > 1:
+            chosen = np.flatnonzero(related)
+            related[:] = False
+            related.flat[chosen[-seen % stride :: stride]] = True
+            seen += chosen.size
+            del chosen
+        yield rows, related
+
+
 def related_pairs(rel: Relation, sample: Sequence[Point]) -> Sequence[tuple[Point, Point]]:
     """All related ordered pairs from sample x sample, deterministically
     strided down when the count exceeds ``PAIR_CAP``.
@@ -260,14 +286,13 @@ def related_pairs(rel: Relation, sample: Sequence[Point]) -> Sequence[tuple[Poin
     the sample points that appear in some pair; ``estimate_lambda`` and
     ``compare_classical`` read those arrays directly."""
     sample = as_sample(sample)
-    flat = np.flatnonzero(rel.matrix(sample, sample))
-    if flat.size > PAIR_CAP:
-        flat = flat[:: math.ceil(flat.size / PAIR_CAP)]
-    rows, cols = np.divmod(flat, len(sample))
+    i, j = _block_indices((rows, 0, related) for rows, related in _related_blocks(rel, sample))
     used = np.zeros(len(sample), dtype=bool)
-    used[rows] = used[cols] = True
+    used[i] = used[j] = True
     remap = np.cumsum(used) - 1
-    return _PairSet(rel, take(sample, np.flatnonzero(used)), remap[rows], remap[cols])
+    i = remap[i]  # rebinding frees each old array before the next is copied
+    j = remap[j]
+    return _PairSet(rel, take(sample, np.flatnonzero(used)), i, j)
 
 
 def estimate_lambda(
@@ -341,26 +366,14 @@ def _sample_estimates(
     """The estimates without and with the diagonal over the related sample
     pairs, strided down as ``related_pairs`` does past ``PAIR_CAP``.
 
-    Only the relation is held for the whole sample; the pair distances are
-    evaluated a block of rows at a time and folded into ratios in place.
+    The relation and the pair distances are evaluated a block of rows at a
+    time, and the distances are folded into ratios in place, so no array
+    spans the whole sample x sample.
     """
     m = len(sample)
     images = map_.apply_all(sample)
-    related = rel.matrix(sample, sample)
-    total = int(np.count_nonzero(related))
-    if not total:
-        raise EstimationError("cannot estimate a contraction factor from an empty pair set")
-    stride = math.ceil(total / PAIR_CAP) if total > PAIR_CAP else 1
     plain, with_diagonal = _WorstRatio(False), _WorstRatio(True)
-    seen = 0
-    for rows in row_blocks(m, m):
-        selected = related[rows]
-        if stride > 1:
-            chosen = np.flatnonzero(selected)
-            kept = (seen + np.arange(chosen.size)) % stride == 0
-            seen += chosen.size
-            selected.flat[chosen[~kept]] = False  # thins ``related`` in place
-            del chosen, kept
+    for rows, selected in _related_blocks(rel, sample):
         diagonal = _SAME_POINT.matrix(sample[rows], sample, where=selected)
         base = p.matrix(sample[rows], sample, where=selected)
         ratios = p.matrix(images[rows], images, where=selected)
@@ -376,6 +389,8 @@ def _sample_estimates(
         zero[diagonal] = moved[diagonal] = False
         plain.add(pair_at, ratios, pairs - int(np.count_nonzero(diagonal)), zero, moved)
         del diagonal, base, ratios, zero, moved
+    if not with_diagonal.checked:
+        raise EstimationError("cannot estimate a contraction factor from an empty pair set")
     return plain.estimate(), with_diagonal.estimate()
 
 

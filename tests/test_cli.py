@@ -356,6 +356,13 @@ def _out_with_directory_at(directory, name: str) -> list[str]:
             lambda d: _report_in(d, b'{"checks": {"a": {"pass": true}, "b": "x"}}'),
             id="report-check-entry-string",
         ),
+        pytest.param(lambda d: _report_in(d, b'{"advisories": 5}'), id="report-advisories-number"),
+        pytest.param(
+            lambda d: _report_in(d, b'{"advisories": "ab"}'), id="report-advisories-string"
+        ),
+        pytest.param(
+            lambda d: _report_in(d, b'{"advisories": ["a", 1]}'), id="report-advisory-number"
+        ),
         pytest.param(
             lambda d: ["solve-fbvp", "--config", str(d), "--out", str(d / "out")],
             id="config-directory",

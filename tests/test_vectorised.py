@@ -13,7 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import relfix.spaces
 from relfix import (
+    ContractionEstimate,
     DomainError,
     GridFn,
     OverallVerdict,
@@ -233,7 +235,124 @@ def test_sample_estimates_hold_the_relation_and_a_few_row_blocks():
     finally:
         tracemalloc.stop()
     assert m == 201 and plain.lambda_hat == 0.75
-    assert peak < m * m + 5 * BLOCK_ELEMENTS * 8, peak
+    assert peak < 5 * BLOCK_ELEMENTS * 8, peak
+
+
+def dense_scans(fx, p, v, cap):
+    """What each pairwise scan returns on the points with values ``v``, from
+    whole m x m numpy arrays: the closure, weak-closure and completeness
+    witnesses, the related pairs strided past ``cap``, and both contraction
+    estimates over them."""
+    w = fx.map.array(v)
+    related = np.broadcast_to(fx.relation.array(v[:, None], v[None, :]), (v.size, v.size))
+    image_related = fx.relation.array(w[:, None], w[None, :])
+
+    def pairs(i, j):
+        return [(scalar(v[a]), scalar(v[b])) for a, b in zip(i, j)]
+
+    flat = np.flatnonzero(related)
+    if flat.size > cap:
+        flat = flat[:: -(-flat.size // cap)]
+    i, j = np.divmod(flat, v.size)
+    base, image = p.array(v[i], v[j]), p.array(w[i], w[j])
+    estimates = []
+    for include_diagonal in (False, True):
+        keep = np.ones(i.size, bool) if include_diagonal else v[i] != v[j]
+        ki, kj, kb, km = i[keep], j[keep], base[keep], image[keep]
+        positive = kb > 0.0
+        ratios = np.where(positive, km / np.where(positive, kb, 1.0), -np.inf)
+        witness, best = None, 0.0
+        if positive.any():
+            k = int(np.argmax(ratios))
+            best, witness = float(ratios[k]), pairs(ki[k : k + 1], kj[k : k + 1])[0]
+        moved = (kb == 0.0) & (km > 0.0)
+        estimates.append(ContractionEstimate(
+            best, witness, int(keep.sum()), int((kb == 0.0).sum()),
+            tuple(pairs(ki[moved], kj[moved])), include_diagonal,
+        ))
+    return {
+        "t_closed": pairs(*np.nonzero(related & ~image_related)),
+        "weak_t_closed": pairs(*np.nonzero(related & ~image_related & ~image_related.T)),
+        "complete": pairs(*np.nonzero(np.triu(~related & ~related.T))),
+        "related": pairs(i, j),
+        "estimates": tuple(estimates),
+    }
+
+
+def blocked_scans(fx, p, sample):
+    return {
+        "t_closed": list(check_t_closed(fx.relation, fx.map, sample).witnesses),
+        "weak_t_closed": list(check_weak_t_closed(fx.relation, fx.map, sample).witnesses),
+        "complete": list(check_complete_on(fx.relation, sample).witnesses),
+        "related": list(related_pairs(fx.relation, sample)),
+        "estimates": verify._sample_estimates(fx.map, p, fx.relation, sample),
+    }
+
+
+# Metric stand-in for Ex1_7, which has no pair distance of its own.
+ABS_GAP = WDistance.elementwise("abs_gap", lambda x, y: np.abs(x - y))
+
+
+# The scan that fails on a 40-point sample of the fixture; Ex2_3's relation
+# is complete and map-closed.
+FAILING_SCAN = {"Ex1_7": "t_closed", "Ex2_4": "complete"}
+
+
+@pytest.mark.parametrize("per_pair", [False, True], ids=["broadcast", "per-pair"])
+@pytest.mark.parametrize("cap", [None, 37], ids=["all-pairs", "strided"])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("key", ["Ex1_7", "Ex2_3", "Ex2_4"])
+def test_row_block_scans_match_dense_arrays(key, seed, cap, per_pair, monkeypatch):
+    # 40 draws from the default lattice, repeats included, in row blocks of
+    # one row (64 entries < 2 rows of 40); a cap of 37 thins the related
+    # pairs of every fixture
+    fx = FIXTURES[key]()
+    p = fx.wdistance or ABS_GAP
+    lattice = sample_space(fx.space, step=fx.default_step).values
+    values = np.random.default_rng(seed).choice(lattice, size=40)
+    monkeypatch.setattr(relfix.spaces, "BLOCK_ELEMENTS", 64)
+    if cap is not None:
+        monkeypatch.setattr(verify, "PAIR_CAP", cap)
+    want = dense_scans(fx, p, values, verify.PAIR_CAP)
+    related = np.count_nonzero(fx.relation.array(values[:, None], values[None, :]))
+    if per_pair:
+        fx, p = per_pair_copy(fx), dataclasses.replace(p, array=None)
+    got = blocked_scans(fx, p, [scalar(v) for v in values])
+    assert got == want
+    kept = len(want["related"])
+    assert kept == related if cap is None else kept <= cap < related
+    if key in FAILING_SCAN:
+        assert want[FAILING_SCAN[key]]
+
+
+def test_pairwise_scans_hold_no_m_by_m_array():
+    # Ex2_4 at step 0.0005: 4,001 points, 16 million ordered pairs.  Each
+    # scan may hold 2 MiB of row blocks and sample-long arrays, plus twice
+    # the index arrays it returns (16 bytes per failing or related pair).
+    fx = product_shrink_fixture()
+    sample = sample_space(fx.space, step=0.0005)
+    assert len(sample) == 4001
+    scans = {
+        "t_closed": lambda: check_t_closed(fx.relation, fx.map, sample).witnesses,
+        "complete": lambda: check_complete_on(fx.relation, sample).witnesses,
+        "related": lambda: related_pairs(fx.relation, sample),
+        "estimates": lambda: verify._sample_estimates(fx.map, fx.wdistance, fx.relation, sample),
+    }
+    kept = {}
+    for name, scan in scans.items():
+        tracemalloc.start()
+        try:
+            result = scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept[name] = 0 if name == "estimates" else len(result)
+        assert peak < 2 * 2**20 + 2 * 16 * kept[name], (name, peak, kept[name])
+    # the completeness check keeps its failures: the pairs x <= y of the
+    # 2,000 points above 1, a quarter of the unordered pairs
+    assert kept["complete"] == 2000 * 2001 // 2
+    assert kept["t_closed"] == 0
+    assert 0 < kept["related"] <= verify.PAIR_CAP
 
 
 class PointBuilds:
