@@ -278,6 +278,26 @@ def _related_blocks(rel: Relation, sample: Sequence[Point]):
         yield rows, related
 
 
+def _related_chunks(rel: Relation, sample: Sequence[Point]):
+    """Row and column index arrays of the pairs ``_related_blocks`` keeps, in
+    row-major order, gathered across blocks into chunks of a quarter block:
+    through ``at`` a pair holds about twice the bytes of a ``matrix`` block
+    entry, so evaluating a chunk holds about half of what a block does."""
+    m = len(sample)
+    flat = np.empty(0, np.intp)
+    for rows, related in _related_blocks(rel, sample):
+        kept = np.flatnonzero(related)
+        kept += rows.start * m
+        flat = np.concatenate((flat, kept))
+        del kept
+        size = max(1, related.size // 4)
+        while flat.size >= size:
+            yield np.divmod(flat[:size], m)
+            flat = flat[size:]
+    if flat.size:
+        yield np.divmod(flat, m)
+
+
 def related_pairs(rel: Relation, sample: Sequence[Point]) -> Sequence[tuple[Point, Point]]:
     """All related ordered pairs from sample x sample, deterministically
     strided down when the count exceeds ``PAIR_CAP``.
@@ -368,27 +388,45 @@ def _sample_estimates(
 
     The relation and the pair distances are evaluated a block of rows at a
     time, and the distances are folded into ratios in place, so no array
-    spans the whole sample x sample.
+    spans the whole sample x sample.  Past ``PAIR_CAP`` entries the
+    distances are evaluated on the kept pairs only.
     """
     m = len(sample)
     images = map_.apply_all(sample)
     plain, with_diagonal = _WorstRatio(False), _WorstRatio(True)
-    for rows, selected in _related_blocks(rel, sample):
-        diagonal = _SAME_POINT.matrix(sample[rows], sample, where=selected)
-        base = p.matrix(sample[rows], sample, where=selected)
-        ratios = p.matrix(images[rows], images, where=selected)
+
+    def fold(pair_at, pairs: int, diagonal: np.ndarray, base: np.ndarray, ratios: np.ndarray):
         zero, moved = _ratios(base, ratios)
-
-        def pair_at(k: int, start: int = rows.start):
-            i, j = divmod(int(k), m)
-            return sample[start + i], sample[j]
-
-        pairs = int(np.count_nonzero(selected))
         with_diagonal.add(pair_at, ratios, pairs, zero, moved)
         ratios[diagonal] = -math.inf
         zero[diagonal] = moved[diagonal] = False
         plain.add(pair_at, ratios, pairs - int(np.count_nonzero(diagonal)), zero, moved)
-        del diagonal, base, ratios, zero, moved
+
+    if m * m > PAIR_CAP:
+        # At most PAIR_CAP of the m^2 pairs are kept, so only those are
+        # evaluated; below the cap whole row blocks take less time and memory.
+        for i, j in _related_chunks(rel, sample):
+            fold(
+                lambda k: (sample[int(i[k])], sample[int(j[k])]),
+                i.size,
+                _SAME_POINT.at(sample, sample, i, j),
+                p.at(sample, sample, i, j),
+                p.at(images, images, i, j),
+            )
+    else:
+        for rows, selected in _related_blocks(rel, sample):
+
+            def pair_at(k: int, start: int = rows.start):
+                i, j = divmod(int(k), m)
+                return sample[start + i], sample[j]
+
+            fold(
+                pair_at,
+                int(np.count_nonzero(selected)),
+                _SAME_POINT.matrix(sample[rows], sample, where=selected),
+                p.matrix(sample[rows], sample, where=selected),
+                p.matrix(images[rows], images, where=selected),
+            )
     if not with_diagonal.checked:
         raise EstimationError("cannot estimate a contraction factor from an empty pair set")
     return plain.estimate(), with_diagonal.estimate()

@@ -271,14 +271,27 @@ class TestFftOperator:
         assert len(set(counts.values())) == 1
 
     def test_solve_memory_stays_linear_in_n(self):
-        problem = FbvpProblem(1.5, 0.5, 0.2, sine_mix_source(0.2), Grid(4096))
+        # the trace holds every iterate; beyond it a solve may hold 12.5
+        # grid lengths: the planned weights, the nodes and one FFT's buffers
+        n = 4096
+        problem = FbvpProblem(1.5, 0.5, 0.2, sine_mix_source(0.2), Grid(n))
         tracemalloc.start()
         try:
-            solve_fbvp(problem, tol=1e-13)
+            solution = solve_fbvp(problem, tol=1e-13)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 1024 * 1024
+        assert peak <= (solution.iterations + 1 + 12.5) * (n + 1) * 8
+
+    def test_solve_makes_no_direct_convolution(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.convolve is the O(n^2) reference path")
+
+        monkeypatch.setattr(np, "convolve", refuse)
+        problem = FbvpProblem(1.5, 0.33, 0.2, sine_mix_source(0.2), Grid(4096))
+        solution = solve_fbvp(problem, tol=1e-10)
+        assert solution.trace.stop_reason.value == "converged"
+        assert 0.0 < solution.caputo_residual < math.inf
 
 
 class TestBoundaryAtK:
@@ -354,6 +367,24 @@ class TestCaputoResidual:
         x = grid_fn(g, 3.0 * g.nodes**2)
         cd = caputo_derivative_nodes(x, 2.0)
         assert np.max(np.abs(cd - 6.0)) <= 1e-9
+
+    @pytest.mark.parametrize("beta", [1.2, 1.5, 1.9, 2.0])
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    @pytest.mark.parametrize("k", [0.5, 0.33])  # 0.33 is off every grid here
+    @pytest.mark.parametrize("solved", [True, False], ids=["solved", "random"])
+    def test_solution_residual_matches_direct_reference(self, beta, n, k, solved):
+        # the FFT residual against the componentwise one: the direct
+        # convolution in caputo_derivative_nodes, at every interior node
+        problem = FbvpProblem(beta, k, 0.2, sine_mix_source(0.2), Grid(n))
+        if solved:
+            x = solve_fbvp(problem, tol=1e-10).x
+        else:
+            x = grid_fn(problem.grid, np.random.default_rng(n).uniform(0.0, 2.0, n + 1))
+        fv = problem.f(problem.grid.nodes, x.values)
+        want = np.max(np.abs(caputo_derivative_nodes(x, beta) - fv)[1:-1])
+        assert abs(solution_caputo_residual(problem, x) - want) <= 1e-12 * want
+        # the residual reads only the operator's FFT length, not its weights
+        assert solved or "operator_weights" not in vars(problem)
 
     def test_boundary_nodes_rejected(self):
         g = Grid(16)

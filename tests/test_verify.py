@@ -450,22 +450,34 @@ SCAN_RELATION = Relation.elementwise(
 SCAN_MAP = SelfMap.elementwise("fold", lambda v: np.abs(v - 1.25) * 0.5)
 
 
-@pytest.mark.parametrize("block", [None, 64], ids=["one-block", "row-blocks"])
-@pytest.mark.parametrize("cap", [None, 37], ids=["all-pairs", "strided"])
+@pytest.mark.parametrize(
+    "block, per_pair",
+    [(None, False), (64, False), (200, False), (64, True)],
+    ids=["one-block", "row-blocks", "five-row-blocks", "row-blocks-per-pair"],
+)
+@pytest.mark.parametrize(
+    "cap", [None, 37, 150, 1100], ids=["all-pairs", "strided", "strided-150", "past-cap-unstrided"]
+)
 @pytest.mark.parametrize("distance", sorted(SCAN_DISTANCES))
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sample_estimates_match_a_plain_scan(seed, distance, cap, block, monkeypatch):
+def test_sample_estimates_match_a_plain_scan(seed, distance, cap, block, per_pair, monkeypatch):
     # 40 draws from 12 quarter values: repeated points put same-point pairs
-    # off the index diagonal, and tied ratios test that the first maximum wins
+    # off the index diagonal, and tied ratios test that the first maximum
+    # wins.  Each sample has 1,002 to 1,063 related pairs, so every cap
+    # below 1,600 = 40^2 takes the path that evaluates only the kept pairs,
+    # and 1,100 takes it without thinning; blocks of 64 or 200 entries
+    # split the kept pairs into chunks that span several row blocks.
     values = np.random.default_rng(seed).integers(0, 12, size=40) / 4.0
     sample = as_sample([scalar(v) for v in values])
-    p = SCAN_DISTANCES[distance]
+    rel, map_, p = SCAN_RELATION, SCAN_MAP, SCAN_DISTANCES[distance]
     if cap is not None:
         monkeypatch.setattr(relfix.verify, "PAIR_CAP", cap)
     if block is not None:
         monkeypatch.setattr(relfix.spaces, "BLOCK_ELEMENTS", block)
-    got = relfix.verify._sample_estimates(SCAN_MAP, p, SCAN_RELATION, sample)
-    want = scan_estimates(SCAN_MAP, p, SCAN_RELATION, sample, relfix.verify.PAIR_CAP)
+    want = scan_estimates(map_, p, rel, sample, relfix.verify.PAIR_CAP)
+    if per_pair:
+        rel, map_, p = (dataclasses.replace(c, array=None) for c in (rel, map_, p))
+    got = relfix.verify._sample_estimates(map_, p, rel, sample)
     assert got == want
     assert got[1].pairs_checked <= relfix.verify.PAIR_CAP
     assert got[0].pairs_checked < got[1].pairs_checked
