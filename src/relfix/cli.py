@@ -47,12 +47,6 @@ SOLUTION_NAME = "solution.csv"
 AXIOM_SAMPLE_LIMIT = 50
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _read_text(path: Path, missing: str) -> str:
     """The UTF-8 text of ``path``; ``ConfigError`` with the message
     ``missing`` when there is no such file, and when it is not UTF-8."""
@@ -66,7 +60,7 @@ def _read_text(path: Path, missing: str) -> str:
 
 def _write_report(out_dir: Path, record: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(record, sort_keys=True, indent=2, default=_json_default) + "\n"
+    text = json.dumps(record, sort_keys=True, indent=2) + "\n"
     (out_dir / REPORT_NAME).write_text(text)
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "FixedPointCertificate",
     "CauchyCheck",
     "ProbeResult",
-    "default_tolerance",
     "iterate",
     "cauchy_bound",
     "certify_cauchy",
@@ -458,7 +457,7 @@ def probe_uniqueness(
                         break
                 if not collapse_ok:
                     break
-            if collapse_ok and not separated:
+            if collapse_ok:
                 return ProbeResult(UniquenessVerdict.UNIQUE_BY_CONDITION_2, None, tuple(notes))
     elif completeness is not None:
         notes.append("relation is not complete on the image sample")

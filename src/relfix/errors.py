@@ -12,6 +12,18 @@ import math
 import numbers
 import sys
 
+__all__ = [
+    "RelfixError",
+    "ShapeError",
+    "DomainError",
+    "SamplingError",
+    "PreconditionError",
+    "EstimationError",
+    "ConfigError",
+    "DivergenceError",
+    "ContractionWarning",
+]
+
 
 class RelfixError(Exception):
     """Base class for all package errors."""

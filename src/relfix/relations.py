@@ -59,7 +59,6 @@ class RelationProperty(Enum):
     T_CLOSED = "t_closed"
     WEAK_T_CLOSED = "weak_t_closed"
     COMPLETE = "complete"
-    START_POINTS_NONEMPTY = "start_points_nonempty"
 
 
 class Verdict(Enum):

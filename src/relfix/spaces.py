@@ -28,7 +28,6 @@ __all__ = [
     "Interval",
     "FunctionSpace",
     "MetricSpace",
-    "ScalarSample",
     "scalar",
     "grid_fn",
     "zero_grid_fn",
@@ -37,18 +36,9 @@ __all__ = [
     "as_values",
     "points_equal",
     "point_distance",
-    "describe_point",
     "interval_space",
     "function_space",
-    "check_space",
     "sample_space",
-    "as_sample",
-    "nonempty_sample",
-    "take",
-    "MAX_SAMPLE_POINTS",
-    "MAX_GRID_N",
-    "row_blocks",
-    "evaluate_pairs",
 ]
 
 MAX_SAMPLE_POINTS = 1_000_000

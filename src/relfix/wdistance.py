@@ -37,8 +37,6 @@ from .spaces import (
 __all__ = [
     "Axiom",
     "WDistance",
-    "TriangleWitness",
-    "SeparationRow",
     "AxiomReport",
     "default_delta_ladder",
     "check_triangle",

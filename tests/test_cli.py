@@ -83,10 +83,18 @@ class TestVerifyExample:
         assert record["advisories"]
 
 
-    @pytest.mark.parametrize("step", ["nan", "1e-300"])
-    def test_bad_step_is_an_error(self, step, tmp_path, capsys):
-        args = ["verify-example", "Ex2_4", "--step", step, "--out", str(tmp_path / "bad")]
-        assert main(args) == STATUS_USAGE
+    @pytest.mark.parametrize(
+        "example_id, step, status",
+        [
+            pytest.param("Ex2_4", "nan", STATUS_USAGE, id="nan"),
+            pytest.param("Ex2_4", "1e-300", STATUS_USAGE, id="1e-300"),
+            # a step of 2 keeps only odd points, which relate to nothing: no factor
+            pytest.param("Ex1_7", "2", STATUS_CHECK_FAILED, id="no-related-pair"),
+        ],
+    )
+    def test_bad_step_is_an_error(self, example_id, step, status, tmp_path, capsys):
+        args = ["verify-example", example_id, "--step", step, "--out", str(tmp_path / "bad")]
+        assert main(args) == status
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "bad").exists()
 
@@ -265,7 +273,8 @@ class TestSolveCommand:
         "field, value",
         [("L", "nan"), ("L", "inf"), ("tol", "-1"), ("max_iter", "0"), ("tol", "nan"),
          ("n", "1048577"), ("n", "1000000000000"), ("n", "1"), ("n", "2"), ("f.a", "-1"),
-         ("f.a", "nan")],
+         ("f.a", "nan"), ("beta", "x"), ("max_iter", "1.5"), ("f.a", "x"), ("f.b", "1"),
+         ("variant", "bogus")],
     )
     def test_out_of_range_value_is_usage_error(self, field, value, tmp_path, capsys):
         kept = [line for line in GOOD_CONFIG.splitlines() if not line.startswith(f"{field} =")]
@@ -279,8 +288,17 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, "beta = 1.5\nk = 0.5\nL = 0.2\nf = sine_mix\n")
         assert main(["solve-fbvp", "--config", str(cfg), "--out", str(tmp_path)]) == STATUS_USAGE
 
-    def test_unknown_field_is_usage_error(self, tmp_path):
-        cfg = write_config(tmp_path, GOOD_CONFIG + "bogus = 1\n")
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param("bogus = 1", id="unknown"),
+            pytest.param("= 1", id="empty-name"),
+            pytest.param("beta = 1.5", id="duplicate"),
+            pytest.param("beta 1.5", id="no-equals"),
+        ],
+    )
+    def test_unknown_field_is_usage_error(self, line, tmp_path):
+        cfg = write_config(tmp_path, GOOD_CONFIG + line + "\n")
         assert main(["solve-fbvp", "--config", str(cfg), "--out", str(tmp_path)]) == STATUS_USAGE
 
     def test_unknown_source_is_usage_error(self, tmp_path):
@@ -292,9 +310,17 @@ class TestSolveCommand:
         with pytest.raises(ConfigError, match="f.a"):
             parse_and_build(cfg)
 
-    def test_malformed_line_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, "beta 1.5\n")
-        with pytest.raises(ConfigError, match="key = value"):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("beta 1.5\n", "key = value", id="no-equals"),
+            pytest.param("= 1\n", "empty field name", id="empty-name"),
+            pytest.param("beta = 1.5\nbeta = 2\n", "duplicate field 'beta'", id="duplicate"),
+        ],
+    )
+    def test_malformed_line_rejected(self, text, message, tmp_path):
+        cfg = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=message):
             parse_config(cfg)
 
 
@@ -312,7 +338,7 @@ class TestReportCommand:
         printed = capsys.readouterr().out
         assert "PASS" in printed and "all_pass = True" in printed
 
-    def test_report_fails_on_failed_run(self, tmp_path):
+    def test_report_fails_on_failed_run(self, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()
         (out / "report.json").write_text(
@@ -321,10 +347,12 @@ class TestReportCommand:
                     "command": "verify-example",
                     "checks": {"broken": {"pass": False}},
                     "summary": {"all_pass": False, "check_count": 1, "failed": ["broken"]},
+                    "advisories": ["sample too coarse"],
                 }
             )
         )
         assert main(["report", "--in", str(out)]) == STATUS_CHECK_FAILED
+        assert "note  sample too coarse" in capsys.readouterr().out.splitlines()
 
     def test_missing_report_is_usage_error(self, tmp_path):
         assert main(["report", "--in", str(tmp_path)]) == STATUS_USAGE

@@ -9,6 +9,7 @@ it (the call must raise a ``RelfixError``).  Each example puts at most one
 argument outside its domain, so every check is reached on its own.
 """
 
+import importlib
 import inspect
 import math
 import warnings
@@ -246,3 +247,16 @@ def test_public_settings_are_the_committed_list():
     assert found == SETTINGS, (
         f"added: {sorted(found - SETTINGS)}, removed: {sorted(SETTINGS - found)}"
     )
+
+
+LIBRARY_MODULES = ("engine", "errors", "fractional", "relations", "spaces", "verify", "wdistance")
+
+
+def test_package_exports_the_join_of_the_module_lists():
+    modules = [importlib.import_module(f"relfix.{name}") for name in LIBRARY_MODULES]
+    joined = [name for module in modules for name in module.__all__]
+    assert relfix.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(relfix, name) is getattr(module, name), f"{module.__name__}.{name}"

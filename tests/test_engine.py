@@ -11,6 +11,7 @@ from relfix import (
     DomainError,
     Grid,
     PreconditionError,
+    Relation,
     SelfMap,
     ShapeError,
     StopReason,
@@ -218,6 +219,42 @@ class TestUniquenessProbe:
         assert "contraction fails on a candidate pair" in result.notes
 
     @pytest.mark.parametrize(
+        "rel, p, lam, candidates, note",
+        [
+            pytest.param(
+                universal_relation(), WDistance.from_metric(), 1.0, [0.0, 1.0],
+                "decay held but candidates stay separated", id="decay-but-separated",
+            ),
+            pytest.param(
+                Relation.elementwise("ascending", lambda x, y: x <= y), WDistance.from_metric(),
+                1.0, [0.0], "contraction factor not below 1, condition 2 inapplicable",
+                id="factor-not-below-one",
+            ),
+            pytest.param(
+                HALVING.relation, WDistance.from_metric(), 0.9, [1.0, 0.0],
+                "contraction fails on a candidate pair", id="pair-related-in-given-order",
+            ),
+            pytest.param(
+                Relation.elementwise("equal", lambda x, y: x == y), WDistance.from_metric(),
+                0.5, [0.0, 1.0], "candidate pair unrelated in both orders", id="pair-unrelated",
+            ),
+            pytest.param(
+                HALVING.relation, WDistance.elementwise("zero", lambda x, y: 0.0 * (x + y)),
+                0.5, [0.0, 1.0], "candidate pair distance did not collapse",
+                id="pair-not-collapsed",
+            ),
+        ],
+    )
+    def test_identity_probe_failure_notes(self, rel, p, lam, candidates, note):
+        # the identity fixes every candidate, and each relation is complete on
+        # the one image 0.5, so each case fails on the clause its note names
+        result = probe_uniqueness(
+            rel, SelfMap.identity(), p, lam, [scalar(c) for c in candidates], [scalar(0.5)]
+        )
+        assert result.verdict is UniquenessVerdict.PROBE_FAILED
+        assert note in result.notes
+
+    @pytest.mark.parametrize(
         "halve, zero, z, verdict",
         [
             pytest.param(
@@ -256,8 +293,6 @@ class TestUniquenessProbe:
 
     def test_probe_failure_on_disconnected_relation(self):
         # nothing relates to the fixed point, and completeness fails too
-        from relfix import Relation
-
         rel = Relation.on_scalars("nothing", lambda x, y: False)
         contraction = SelfMap.on_scalars("halve", lambda v: v / 2.0)
         trace = iterate(contraction, scalar(1.0), WDistance.from_metric(), 0.5, max_iter=100)

@@ -26,6 +26,7 @@ from relfix import (
     compare_classical,
     estimate_lambda,
     function_space,
+    interval_space,
     point_distance,
     related_pairs,
     sample_space,
@@ -48,6 +49,7 @@ from relfix.spaces import as_sample
 
 SHRINK = product_shrink_fixture()
 HALVING = ordered_halving_fixture()
+HALVE = SelfMap.elementwise("halve", lambda v: v / 2.0)
 
 
 def pair(a, b):
@@ -384,6 +386,53 @@ class TestVerifyTheorem:
         )
         assert report.overall is OverallVerdict.ALL_VERIFIED_ON_SAMPLE
         assert report.lambda_hat < problem.L * 1.47
+
+    def test_sample_without_related_pairs_leaves_lambda_infinite(self):
+        # only points above 5 relate to anything, and the sample holds none
+        report = verify_theorem(
+            HALVE, interval_space(0.0, 20.0),
+            Relation.elementwise("from_above_five", lambda x, y: x > 5.0),
+            WDistance.from_metric(), [scalar(0.0), scalar(1.0)], scalar(10.0),
+        )
+        assert report.overall is OverallVerdict.INCOMPLETE
+        assert report.lambda_hat == report.lambda_hat_with_diagonal == math.inf
+        assert report.orbit is None
+        assert report.reasons == (
+            "no sampled start points",
+            "cannot estimate a contraction factor from an empty pair set",
+        )
+
+    @pytest.mark.parametrize(
+        "map_, space, rel, seed, reason",
+        [
+            pytest.param(
+                HALVE, interval_space(0.0, 2.0),
+                Relation.elementwise("ascending", lambda x, y: x <= y), 0.0,
+                "no sampled start points", id="no-start-points",
+            ),
+            pytest.param(
+                HALVE, interval_space(0.0, 2.0),
+                Relation.elementwise("above", lambda x, y: x > y), 1.0,
+                "orbit has tail entries unrelated to its limit", id="tail-unrelated-to-limit",
+            ),
+            pytest.param(
+                HALVE, interval_space(0.5, 2.0), HALVING.relation, 1.0,
+                "orbit did not converge inside the space", id="orbit-leaves-space",
+            ),
+            pytest.param(
+                SelfMap.elementwise("halve_or_double", lambda v: np.where(v <= 2, v / 2, 2 * v)),
+                interval_space(0.0, 2.0), universal_relation(), 4.0,
+                "orbit check failed: ", id="orbit-diverges",
+            ),
+        ],
+    )
+    def test_one_failed_hypothesis_is_named(self, map_, space, rel, seed, reason):
+        # the map halves the sample, so lambda_hat = 1/2 on every case
+        sample = [scalar(0.5), scalar(1.0)]
+        report = verify_theorem(map_, space, rel, WDistance.from_metric(), sample, scalar(seed))
+        assert report.overall is OverallVerdict.INCOMPLETE
+        assert report.lambda_hat == 0.5
+        assert len(report.reasons) == 1 and report.reasons[0].startswith(reason)
 
     def test_seed_outside_start_set_rejected(self):
         with pytest.raises(PreconditionError):
