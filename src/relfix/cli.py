@@ -1,9 +1,10 @@
 """Batch front end: fixture verification suites and boundary-value solves.
 
-Each run writes a ``report.json`` record (keys sorted, no timestamps, so
-reruns with identical configuration are byte-identical) plus ``orbit.csv``
-or ``solution.csv`` next to it.  Exit status 0 means every asserted check in
-the report passed; advisory findings are recorded but never affect status.
+Only this module writes files.  A run writes ``report.json`` first (keys
+sorted, no timestamps, so reruns with identical configuration are
+byte-identical), then its tables: ``solution.csv`` for a solve, and
+``orbit.csv`` for a run that iterated.  Exit status 0 means every asserted
+check in the report passed; advisories are recorded but never affect status.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import CSV_BLOCK_ROWS, UniquenessVerdict, certify_cauchy, iterate, probe_uniqueness
+from .engine import OrbitTrace, UniquenessVerdict, certify_cauchy, iterate, probe_uniqueness
 from .errors import ConfigError, DivergenceError, PreconditionError, RelfixError, SamplingError
 from .errors import check_count, check_real
 from .fixtures import FIXTURES, F_REGISTRY, Fixture
@@ -29,7 +30,7 @@ from .relations import (
     find_start_points,
     universal_relation,
 )
-from .spaces import Grid, point_distance, sample_space, scalar
+from .spaces import Grid, ScalarPoint, point_distance, sample_space, scalar
 from .verify import compare_classical, estimate_lambda, related_pairs, verify_theorem
 from .wdistance import WDistance, check_rlsc, check_triangle, check_w3
 
@@ -46,6 +47,10 @@ SOLUTION_NAME = "solution.csv"
 # Most points the cubic triangle and separation checks run on.
 AXIOM_SAMPLE_LIMIT = 50
 
+# Rows formatted and written at a time by ``_write_table``, so that a long
+# table is never held whole as one string.
+CSV_BLOCK_ROWS = 256
+
 
 def _read_text(path: Path, missing: str) -> str:
     """The UTF-8 text of ``path``; ``ConfigError`` with the message
@@ -58,19 +63,44 @@ def _read_text(path: Path, missing: str) -> str:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
-def _write_report(out_dir: Path, record: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(record, sort_keys=True, indent=2) + "\n"
-    (out_dir / REPORT_NAME).write_text(text)
+def _write_table(path: Path, header: str, row, columns, last: str = "") -> None:
+    """Write ``header``, ``row(*values)`` for each row of the equally long
+    ``columns`` (formatted ``CSV_BLOCK_ROWS`` rows at a time), then ``last``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for s in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = slice(s, s + CSV_BLOCK_ROWS)
+            fh.write("".join(map(row, *(column[block].tolist() for column in columns))))
+        fh.write(last)
 
 
-def _finish(record: dict, checks: dict) -> int:
+def _orbit_table(trace: OrbitTrace) -> tuple:
+    """``orbit.csv``: a row (n, point value or sup norm, d_gap, p_gap, bound)
+    per step, then the last point's row with no gaps."""
+    sizes = [pt.value if isinstance(pt, ScalarPoint) else pt.sup_norm for pt in trace.points]
+    return (
+        "n,point_or_norm,d_gap,p_gap,bound\r\n",
+        lambda n, x, d, p, b: f"{n},{x!r},{d!r},{p!r},{b!r}\r\n",
+        (np.arange(trace.steps), np.array(sizes[:-1]), trace.d_gaps, trace.p_gaps, trace.bound),
+        f"{trace.steps},{sizes[-1]!r},,,\r\n",
+    )
+
+
+def _solution_table(grid: Grid, values: np.ndarray) -> tuple:
+    """``solution.csv``: a row (t, x) per grid node."""
+    return "t,x\r\n", lambda t, x: f"{t!r},{x!r}\r\n", (grid.nodes, values)
+
+
+def _end_run(out_dir: Path, record: dict, checks: dict, advisories: list, tables: dict) -> int:
+    """Complete ``record`` with the checks, advisories and a summary, write it as
+    ``report.json``, then each of ``tables`` under its file name; the exit status."""
     failed = sorted(name for name, c in checks.items() if not c["pass"])
-    record["summary"] = {
-        "all_pass": not failed,
-        "check_count": len(checks),
-        "failed": failed,
-    }
+    record.update(checks=checks, advisories=advisories)
+    record["summary"] = {"all_pass": not failed, "check_count": len(checks), "failed": failed}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / REPORT_NAME).write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    for name, table in tables.items():
+        _write_table(out_dir / name, *table)
     return STATUS_OK if not failed else STATUS_CHECK_FAILED
 
 
@@ -121,10 +151,11 @@ def _battery_parity(fx: Fixture, sample, checks, advisories):
         "detail": complete.to_record(),
     }
     pairs = related_pairs(fx.relation, sample)
-    est = estimate_lambda(fx.map, WDistance.from_metric(), fx.relation, pairs)
+    # A step too coarse to keep any related pair leaves no ratio to observe.
+    est = estimate_lambda(fx.map, WDistance.from_metric(), fx.relation, pairs) if pairs else None
     checks["metric_contraction_unavailable"] = {
-        "pass": est.lambda_hat >= 1.0,
-        "observed_lambda": est.lambda_hat,
+        "pass": est is not None and est.lambda_hat >= 1.0,
+        "observed_lambda": None if est is None else est.lambda_hat,
     }
     return None
 
@@ -318,14 +349,9 @@ def run_verify_example(example_id: str, step: float | None, seed: int, out_dir: 
         "example": example_id,
         "title": fixture.title,
         "config": {"step": step, "seed": seed, "sample_size": len(sample)},
-        "checks": checks,
-        "advisories": advisories,
     }
-    status = _finish(record, checks)
-    _write_report(out_dir, record)
-    if orbit is not None:
-        orbit.to_csv(out_dir / ORBIT_NAME)
-    return status
+    tables = {} if orbit is None else {ORBIT_NAME: _orbit_table(orbit)}
+    return _end_run(out_dir, record, checks, advisories, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +452,6 @@ def build_problem(raw: dict) -> tuple[FbvpProblem, float, int]:
     return problem, tol, max_iter
 
 
-def _write_solution_csv(path: Path, grid: Grid, values: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,x\r\n")
-        for s in range(0, grid.n + 1, CSV_BLOCK_ROWS):
-            block = slice(s, s + CSV_BLOCK_ROWS)
-            rows = zip(grid.nodes[block].tolist(), values[block].tolist())
-            fh.write("".join(f"{t!r},{v!r}\r\n" for t, v in rows))
-
-
 def run_solve_fbvp(config_path: Path, out_dir: Path) -> int:
     raw = parse_config(config_path)
     problem, tol, max_iter = build_problem(raw)
@@ -451,13 +468,8 @@ def run_solve_fbvp(config_path: Path, out_dir: Path) -> int:
     except DivergenceError as exc:
         record["solution"] = None
         checks["converged"] = {"pass": False, "error": str(exc)}
-        record["checks"] = checks
-        record["advisories"] = advisories
-        status = _finish(record, checks)
-        _write_report(out_dir, record)
-        if exc.trace is not None:
-            exc.trace.to_csv(out_dir / ORBIT_NAME)
-        return status
+        tables = {} if exc.trace is None else {ORBIT_NAME: _orbit_table(exc.trace)}
+        return _end_run(out_dir, record, checks, advisories, tables)
 
     record["solution"] = solution.to_record()
     if solution.warning:
@@ -482,13 +494,11 @@ def run_solve_fbvp(config_path: Path, out_dir: Path) -> int:
             "observed": solution.gap_ratio,
             "bound": contraction + 0.02,
         }
-    record["checks"] = checks
-    record["advisories"] = advisories
-    status = _finish(record, checks)
-    _write_report(out_dir, record)
-    _write_solution_csv(out_dir / SOLUTION_NAME, problem.grid, solution.x.values)
-    solution.trace.to_csv(out_dir / ORBIT_NAME)
-    return status
+    tables = {
+        SOLUTION_NAME: _solution_table(problem.grid, solution.x.values),
+        ORBIT_NAME: _orbit_table(solution.trace),
+    }
+    return _end_run(out_dir, record, checks, advisories, tables)
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,6 @@ from .spaces import (
 )
 from .wdistance import WDistance
 
-# Rows formatted and written at a time by the CSV writers, so that a long
-# file is never held whole as one string.
-CSV_BLOCK_ROWS = 256
-
 __all__ = [
     "StopReason",
     "UniquenessVerdict",
@@ -149,20 +145,6 @@ class OrbitTrace:
     def final(self) -> Point:
         return self.points[-1]
 
-    def to_csv(self, path) -> None:
-        """Write rows of (n, point value or sup norm, d_gap, p_gap, bound)."""
-        sizes = [pt.value if isinstance(pt, ScalarPoint) else pt.sup_norm for pt in self.points]
-        with open(path, "w", newline="") as fh:
-            fh.write("n,point_or_norm,d_gap,p_gap,bound\r\n")
-            for s in range(0, self.steps, CSV_BLOCK_ROWS):
-                block = slice(s, s + CSV_BLOCK_ROWS)
-                rows = zip(
-                    range(s, s + CSV_BLOCK_ROWS), sizes[block], self.d_gaps[block].tolist(),
-                    self.p_gaps[block].tolist(), self.bound[block].tolist(),
-                )
-                fh.write("".join(f"{n},{x!r},{d!r},{p!r},{b!r}\r\n" for n, x, d, p, b in rows))
-            fh.write(f"{self.steps},{sizes[-1]!r},,,\r\n")
-
     def to_record(self) -> dict:
         return {
             "steps": self.steps,
@@ -178,13 +160,6 @@ class FixedPointCertificate:
     point: Point
     residual: float
     p_self: float
-
-    def to_record(self) -> dict:
-        return {
-            "point": describe_point(self.point),
-            "residual": self.residual,
-            "p_self": self.p_self,
-        }
 
 
 class CauchyCheck(NamedTuple):

@@ -16,13 +16,15 @@ from relfix.cli import (
     STATUS_CHECK_FAILED,
     STATUS_OK,
     STATUS_USAGE,
-    _write_solution_csv,
+    _orbit_table,
+    _solution_table,
+    _write_table,
     build_parser,
     main,
     parse_config,
 )
 from relfix.engine import OrbitTrace, StopReason
-from relfix.errors import ConfigError
+from relfix.errors import ConfigError, PreconditionError
 from relfix.spaces import Grid, ScalarPoint, grid_fn, scalar
 
 
@@ -83,20 +85,22 @@ class TestVerifyExample:
         assert record["advisories"]
 
 
-    @pytest.mark.parametrize(
-        "example_id, step, status",
-        [
-            pytest.param("Ex2_4", "nan", STATUS_USAGE, id="nan"),
-            pytest.param("Ex2_4", "1e-300", STATUS_USAGE, id="1e-300"),
-            # a step of 2 keeps only odd points, which relate to nothing: no factor
-            pytest.param("Ex1_7", "2", STATUS_CHECK_FAILED, id="no-related-pair"),
-        ],
-    )
-    def test_bad_step_is_an_error(self, example_id, step, status, tmp_path, capsys):
-        args = ["verify-example", example_id, "--step", step, "--out", str(tmp_path / "bad")]
-        assert main(args) == status
+    @pytest.mark.parametrize("step", ["nan", "1e-300"])
+    def test_bad_step_is_an_error(self, step, tmp_path, capsys):
+        args = ["verify-example", "Ex2_4", "--step", step, "--out", str(tmp_path / "bad")]
+        assert main(args) == STATUS_USAGE
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "bad").exists()
+
+    def test_step_without_related_pairs_fails_its_check(self, tmp_path, capsys):
+        # a step of 2 keeps only odd points, which relate to nothing: no ratio
+        out = tmp_path / "coarse"
+        args = ["verify-example", "Ex1_7", "--step", "2", "--out", str(out)]
+        assert main(args) == STATUS_CHECK_FAILED
+        assert capsys.readouterr().err == ""
+        record = json.loads((out / "report.json").read_text())
+        assert "metric_contraction_unavailable" in record["summary"]["failed"]
+        assert record["checks"]["metric_contraction_unavailable"]["observed_lambda"] is None
 
 
 def run_module(module, *args, cwd):
@@ -269,6 +273,18 @@ class TestSolveCommand:
         lines = (out / "orbit.csv").read_text().splitlines()
         assert lines[0] == "n,point_or_norm,d_gap,p_gap,bound" and len(lines) > 2
 
+    def test_library_fault_is_a_failed_run(self, tmp_path, monkeypatch, capsys):
+        # a RelfixError that is not a usage fault exits 3, before any file is written
+        def refuse(problem, tol, max_iter):
+            raise PreconditionError("refused")
+
+        monkeypatch.setattr("relfix.cli.solve_fbvp", refuse)
+        out = tmp_path / "out"
+        args = ["solve-fbvp", "--config", str(write_config(tmp_path)), "--out", str(out)]
+        assert main(args) == STATUS_CHECK_FAILED
+        assert capsys.readouterr().err == "error: refused\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field, value",
         [("L", "nan"), ("L", "inf"), ("tol", "-1"), ("max_iter", "0"), ("tol", "nan"),
@@ -417,7 +433,7 @@ def test_unreadable_input_or_unwritable_output_is_usage_error(argv, tmp_path, ca
 
 
 class TestCsvWriters:
-    """The block writers against the row-at-a-time ``csv.writer`` form."""
+    """The block table writer against the row-at-a-time ``csv.writer`` form."""
 
     @pytest.mark.parametrize("n", [1, 255, 256, 600])
     def test_solution_csv_matches_csv_module(self, n, tmp_path):
@@ -425,7 +441,7 @@ class TestCsvWriters:
         rng = np.random.default_rng(n)
         values = rng.normal(size=n + 1) * 10.0 ** rng.integers(-300, 300, n + 1)
         values[0] = -0.0
-        _write_solution_csv(tmp_path / "got.csv", grid, values)
+        _write_table(tmp_path / "got.csv", *_solution_table(grid, values))
         with open(tmp_path / "want.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "x"])
@@ -444,7 +460,7 @@ class TestCsvWriters:
         gaps = rng.exponential(size=(3, steps))
         gaps[2, ::7] = np.inf  # bounds are infinite when lambda is not below 1
         trace = OrbitTrace(points, gaps[0], gaps[1], gaps[2], 0.5, StopReason.MAX_ITER)
-        trace.to_csv(tmp_path / "got.csv")
+        _write_table(tmp_path / "got.csv", *_orbit_table(trace))
         with open(tmp_path / "want.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "point_or_norm", "d_gap", "p_gap", "bound"])

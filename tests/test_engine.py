@@ -67,6 +67,14 @@ class TestIterate:
         assert trace.stop_reason is StopReason.DIVERGED
         assert all(math.isfinite(p.value) for p in trace.points)
 
+    def test_non_finite_image_raises_with_partial_trace(self):
+        overflowing = SelfMap.on_scalars("overflowing", lambda v: v * 1e308 * 10)
+        with pytest.raises(DivergenceError, match="left the finite range") as err:
+            iterate(overflowing, scalar(1.0), WDistance.from_metric(), 0.5)
+        trace = err.value.trace
+        assert trace.stop_reason is StopReason.DIVERGED
+        assert trace.points == (scalar(1.0),)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(PreconditionError, match="tolerance"):
@@ -81,6 +89,8 @@ class TestIterate:
     def test_invalid_factor_rejected(self):
         with pytest.raises(DomainError):
             iterate(SelfMap.identity(), scalar(1.0), WDistance.from_metric(), -0.1)
+        with pytest.raises(TypeError):
+            iterate(SelfMap.identity(), scalar(1.0), WDistance.from_metric(), "0.5")
 
 
 class TestCauchyBound:

@@ -393,6 +393,8 @@ class TestCaputoResidual:
             caputo_residual(x, 1.5, lambda t, x_: 0.0, 0)
         with pytest.raises(PreconditionError):
             caputo_residual(x, 1.5, lambda t, x_: 0.0, 16)
+        with pytest.raises(PreconditionError, match="at least 4 nodes"):
+            caputo_derivative_nodes(zero_grid_fn(Grid(2)), 1.5)
 
 
 class TestContractionConstants:
@@ -534,9 +536,14 @@ class TestProblemValidation:
             lambda p: solution_caputo_residual(p, scalar(1.0)),
             lambda p: rl_integral(np.zeros(9), 1.5, 3),
             lambda p: FbvpProblem(p.beta, p.k, p.L, p.f, grid=8),
+            lambda p: rl_integral_nodes(np.zeros(3), 1.5, p.grid),
+            # a source that ignores the shape of its arguments
+            lambda p: apply_operator(
+                FbvpProblem(p.beta, p.k, p.L, lambda t, x: 1.0, p.grid), zero_grid_fn(p.grid)
+            ),
         ],
         ids=["apply_operator", "boundary_residual", "caputo_residual", "rl_integral",
-             "problem_grid"],
+             "problem_grid", "rl_integral_nodes", "source_shape"],
     )
     def test_wrong_point_type_is_shape_error(self, call):
         problem = FbvpProblem(beta=1.5, k=0.5, L=0.0, f=constant_source(1.0), grid=Grid(8))

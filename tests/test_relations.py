@@ -7,6 +7,8 @@ from relfix import (
     Grid,
     PreconditionError,
     Relation,
+    RelationProperty,
+    RelationReport,
     SelfMap,
     Verdict,
     WDistance,
@@ -94,6 +96,24 @@ class TestClosureChecks:
         sample = sample_space(fx.space, step=0.2)
         assert check_t_closed(fx.relation, fx.map, sample).ok
         assert check_weak_t_closed(fx.relation, fx.map, sample).ok
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda: check_t_closed(universal_relation(), SelfMap.identity(), []),
+            id="empty-sample",
+        ),
+        pytest.param(
+            lambda: RelationReport(RelationProperty.COMPLETE, Verdict.FAILS_WITH_WITNESS, [], 3),
+            id="failure-without-witness",
+        ),
+    ],
+)
+def test_unchecked_or_unwitnessed_claim_rejected(call):
+    with pytest.raises(PreconditionError):
+        call()
 
 
 class TestStartPoints:

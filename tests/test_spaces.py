@@ -24,6 +24,7 @@ from relfix import (
     points_equal,
     sample_space,
     scalar,
+    universal_relation,
     verify_theorem,
     zero_grid_fn,
 )
@@ -114,8 +115,13 @@ class TestMetricEval:
 SHRINK = product_shrink_fixture()
 SHRINK_SAMPLE = [scalar(v) for v in (0.0, 0.5, 1.0)]
 
-# Calls given None for a space, or a scalar for a grid function.
+# Calls given None for a space, a scalar for a grid function, or index
+# arrays that do not align.
 NOT_THE_RIGHT_KIND = [
+    pytest.param(
+        lambda: universal_relation().at(SHRINK_SAMPLE, SHRINK_SAMPLE, [0, 1], [0]),
+        id="relation_at",
+    ),
     pytest.param(lambda: sample_space(None, step=0.1), id="sample_space"),
     pytest.param(
         lambda: check_w3(WDistance.from_metric(), None, SHRINK_SAMPLE, eps_grid=(0.5,)),
@@ -192,6 +198,9 @@ class TestSampling:
             sample_space(interval_space(0.0, 1.0))
         with pytest.raises(SamplingError):
             sample_space(function_space(Grid(2)), count=0)
+        # the one lattice point, 0, lies within rounding of the open end 1e-12
+        with pytest.raises(SamplingError, match="empty"):
+            sample_space(interval_space(0.0, 1e-12, hi_inclusive=False), step=1.0)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -56,6 +56,15 @@ class TestTriangle:
         assert report.verdict is Verdict.FAILS_WITH_WITNESS
         w = report.witnesses[0]
         assert w.lhs > w.rhs
+        record = report.to_record()
+        assert record["violation_count"] == 2  # (0, 1, 2) and (2, 1, 0)
+        assert record["violations"][0] == {
+            "x": {"kind": "scalar", "value": 0.0},
+            "y": {"kind": "scalar", "value": 1.0},
+            "z": {"kind": "scalar", "value": 2.0},
+            "lhs": 4.0,
+            "rhs": 2.0,
+        }
 
     def test_blocked_scan_counts_every_violation_in_bounded_memory(self):
         values = np.linspace(0.0, 2.0, 200)
