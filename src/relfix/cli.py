@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -63,15 +65,25 @@ def _read_text(path: Path, missing: str) -> str:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
+def _write_file(path: Path, chunks) -> None:
+    """Write the text ``chunks`` over the bytes ``path`` holds, then cut it
+    to their length.  The file is never truncated to zero first: a rerun
+    that writes the same bytes then frees and reallocates none of its blocks,
+    which on ext4 costs more than the write itself."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", newline="") as fh:
+        fh.writelines(chunks)
+        fh.truncate()
+
+
 def _write_table(path: Path, header: str, row, columns, last: str = "") -> None:
     """Write ``header``, ``row(*values)`` for each row of the equally long
     ``columns`` (formatted ``CSV_BLOCK_ROWS`` rows at a time), then ``last``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        for s in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = slice(s, s + CSV_BLOCK_ROWS)
-            fh.write("".join(map(row, *(column[block].tolist() for column in columns))))
-        fh.write(last)
+    blocks = (
+        "".join(map(row, *(column[s : s + CSV_BLOCK_ROWS].tolist() for column in columns)))
+        for s in range(0, len(columns[0]), CSV_BLOCK_ROWS)
+    )
+    _write_file(path, itertools.chain((header,), blocks, (last,)))
 
 
 def _orbit_table(trace: OrbitTrace) -> tuple:
@@ -98,7 +110,7 @@ def _end_run(out_dir: Path, record: dict, checks: dict, advisories: list, tables
     record.update(checks=checks, advisories=advisories)
     record["summary"] = {"all_pass": not failed, "check_count": len(checks), "failed": failed}
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / REPORT_NAME).write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    _write_file(out_dir / REPORT_NAME, (json.dumps(record, sort_keys=True, indent=2), "\n"))
     for name, table in tables.items():
         _write_table(out_dir / name, *table)
     return STATUS_OK if not failed else STATUS_CHECK_FAILED

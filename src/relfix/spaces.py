@@ -260,6 +260,9 @@ class ScalarSample(_Lazy):
         if not np.isfinite(values).all():
             ScalarPoint(values[~np.isfinite(values)][0])  # raises its DomainError
         values.setflags(write=False)
+        self._hold(values)
+
+    def _hold(self, values: np.ndarray) -> None:
         self.values = values
         super().__init__(values.size, lambda n: ScalarPoint(values[n]))
 
@@ -270,10 +273,16 @@ class ScalarSample(_Lazy):
 def take(sample: Sequence[Point], index) -> Sequence[Point]:
     """The items of ``sample`` at ``index``, an index array (or a slice of a
     ``ScalarSample``): a ``ScalarSample`` over their values when ``sample``
-    is one, otherwise a list."""
+    is one, otherwise a list.  A sample's values were checked finite when it
+    was built, so a slice is a read-only view of them and an index array a
+    read-only copy, neither checked again."""
     if not isinstance(sample, ScalarSample):
         return [sample[k] for k in index]
-    return ScalarSample(sample.values[index])
+    values = sample.values[index]
+    values.setflags(write=False)
+    taken = ScalarSample.__new__(ScalarSample)
+    taken._hold(values)
+    return taken
 
 
 def as_sample(points: Sequence[Point]) -> Sequence[Point]:

@@ -74,7 +74,9 @@ class ContractionEstimate:
 
     @property
     def is_contraction(self) -> bool:
-        return self.lambda_hat < 1.0 and not self.zero_p_violations
+        """A worst ratio below 1 over at least one checked pair, and no pair
+        with p(x, y) = 0 < p(Tx, Ty)."""
+        return self.pairs_checked > 0 and self.lambda_hat < 1.0 and not self.zero_p_violations
 
     def to_record(self) -> dict:
         return {

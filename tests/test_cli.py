@@ -420,6 +420,11 @@ def _out_with_directory_at(directory, name: str) -> list[str]:
             id="out-is-a-file",
         ),
         pytest.param(
+            lambda d: ["solve-fbvp", "--config", str(write_config(d)),
+                       "--out", _file(d / "taken", b"")],
+            id="solve-out-is-a-file",
+        ),
+        pytest.param(
             lambda d: _out_with_directory_at(d, "report.json"), id="report-path-is-a-directory"
         ),
         pytest.param(
@@ -474,3 +479,54 @@ class TestCsvWriters:
                 else:
                     writer.writerow([n, repr(size), "", "", ""])
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+class TestRerunIntoTheSameOut:
+    """A run into an ``--out`` an earlier run wrote overwrites each file in
+    place and leaves the bytes a fresh run writes."""
+
+    RUNS = [
+        pytest.param(
+            lambda cfg: ["solve-fbvp", "--config", cfg(1000)],
+            lambda cfg: ["solve-fbvp", "--config", cfg(256)],
+            id="solve-n1000-then-n256",
+        ),
+        pytest.param(
+            lambda cfg: ["verify-example", "Ex2_4", "--step", "0.005"],
+            lambda cfg: ["verify-example", "Ex2_4"],
+            id="verify-Ex2_4-fine-then-default",
+        ),
+    ]
+
+    @staticmethod
+    def _files(out: Path) -> dict:
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    @pytest.mark.parametrize("earlier, later", RUNS)
+    def test_shorter_rerun_leaves_a_fresh_runs_bytes(self, earlier, later, tmp_path, monkeypatch):
+        def cfg(n):
+            text = GOOD_CONFIG.replace("n = 32", f"n = {n}")
+            return str(write_config(tmp_path, text, f"{n}.cfg"))
+
+        opened = []
+        os_open = os.open
+
+        def recorded_open(path, flags, *args, **kwargs):
+            opened.append((Path(path).name, flags))
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recorded_open)
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main([*earlier(cfg), "--out", str(reused)]) == STATUS_OK
+        before = self._files(reused)
+        opened.clear()
+        assert main([*later(cfg), "--out", str(reused)]) == STATUS_OK
+        assert main([*later(cfg), "--out", str(fresh)]) == STATUS_OK
+        after = self._files(reused)
+        assert after == self._files(fresh)
+        assert after.keys() == before.keys()
+        assert all(len(after[name]) <= len(data) for name, data in before.items())
+        assert len(after["report.json"]) < len(before["report.json"])  # an old tail cut off
+        # every run file goes through os.open, and none is truncated to zero
+        assert sorted(name for name, _ in opened) == sorted(2 * list(after))
+        assert not any(flags & os.O_TRUNC for _, flags in opened)

@@ -30,6 +30,7 @@ def _sweep(out: Path) -> dict:
 def test_two_sweeps_write_identical_trees(tmp_path):
     first = _sweep(tmp_path / "first")
     assert _sweep(tmp_path / "second") == first
+    assert _sweep(tmp_path / "first") == first  # every file overwritten in place
     status = json.loads(first[Path("status.json")])
     assert {case: code for case, code in status.items() if code != 0} == dict.fromkeys(FAILING, 3)
     assert all(Path(case, "report.json") in first for case in status)

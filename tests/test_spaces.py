@@ -29,7 +29,7 @@ from relfix import (
     zero_grid_fn,
 )
 from relfix.fixtures import product_shrink_fixture
-from relfix.spaces import MAX_GRID_N, ScalarPoint, ScalarSample
+from relfix.spaces import MAX_GRID_N, ScalarPoint, ScalarSample, take
 
 
 class TestGridAndPoints:
@@ -260,6 +260,18 @@ class TestScalarSample:
         assert isinstance(part, ScalarSample)
         assert part == self.listed[k]
         assert part.values.tolist() == [pt.value for pt in self.listed[k]]
+
+    @pytest.mark.parametrize("index", [slice(2, 7, 2), np.array([8, 0, 3])])
+    def test_parts_are_read_only_and_not_checked_again(self, index, monkeypatch):
+        def checked_again(sample, values):
+            raise AssertionError("values of a part checked again")
+
+        monkeypatch.setattr(ScalarSample, "__init__", checked_again)
+        part = take(self.sample, index)
+        assert part == [self.listed[k] for k in np.arange(9)[index]]
+        assert np.shares_memory(part.values, self.sample.values) == isinstance(index, slice)
+        with pytest.raises(ValueError):
+            part.values[0] = 5.0
 
     def test_equals_the_list_and_keeps_each_point(self):
         assert self.sample == self.listed and self.listed == self.sample

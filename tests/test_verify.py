@@ -50,6 +50,9 @@ from relfix.spaces import as_sample
 SHRINK = product_shrink_fixture()
 HALVING = ordered_halving_fixture()
 HALVE = SelfMap.elementwise("halve", lambda v: v / 2.0)
+# Every related pair of {2, 3} under EQUAL is a diagonal pair.
+DOUBLE = SelfMap.elementwise("double", lambda v: 2.0 * v)
+EQUAL = Relation.elementwise("equal", lambda x, y: x == y)
 
 
 def pair(a, b):
@@ -98,6 +101,13 @@ class TestEstimateLambda:
         )
         assert est_diag.pairs_checked == 2
         assert est_diag.lambda_hat == 1.0
+
+    def test_diagonal_pairs_alone_are_not_a_contraction(self):
+        pairs = related_pairs(EQUAL, [scalar(2.0), scalar(3.0)])
+        est = estimate_lambda(DOUBLE, WDistance.from_metric(), EQUAL, pairs)
+        assert (est.lambda_hat, est.pairs_checked) == (0.0, 0)
+        assert not est.is_contraction
+        assert not est.to_record()["is_contraction"]
 
     def test_unrelated_pair_rejected(self):
         with pytest.raises(PreconditionError):
@@ -401,6 +411,16 @@ class TestVerifyTheorem:
             "no sampled start points",
             "cannot estimate a contraction factor from an empty pair set",
         )
+
+    def test_diagonal_pairs_alone_leave_the_contraction_unverified(self):
+        report = verify_theorem(
+            DOUBLE, interval_space(0.0, 10.0), EQUAL, WDistance.from_metric(),
+            [scalar(2.0), scalar(3.0)], scalar(0.0),
+        )
+        assert report.overall is OverallVerdict.INCOMPLETE
+        assert not report.contraction and report.estimate.pairs_checked == 0
+        assert report.orbit is None
+        assert any(r.startswith("contraction unverified: ") for r in report.reasons)
 
     @pytest.mark.parametrize(
         "map_, space, rel, seed, reason",

@@ -9,7 +9,9 @@ imported from ``PYTHONPATH``, and writes its files under ``OUT/<case>/``; a
 ``solve-fbvp`` case also keeps its config there as ``problem.cfg``.
 ``OUT/status.json`` maps each case to its exit status.  Two trees made from
 two checkouts compare with ``diff -r``: a change that keeps every output
-leaves no difference.
+leaves no difference.  ``OUT`` must be empty or a tree an earlier sweep
+wrote; a sweep into such a tree overwrites its files in place, as a rerun
+into the same ``--out`` does.
 
 The cases: the five fixtures at their default step and at 2x and 4x finer
 steps; two steps too coarse for their battery; ``solve-fbvp`` over three
@@ -62,7 +64,7 @@ def snapshot(out: Path) -> None:
     for name, argv, config in cases():
         case_dir = out / name
         if config is not None:
-            case_dir.mkdir(parents=True)
+            case_dir.mkdir(parents=True, exist_ok=True)
             (case_dir / "problem.cfg").write_text(config)
             argv = [*argv, "--config", str(case_dir / "problem.cfg")]
         status[name] = main([*argv, "--out", str(case_dir)])
@@ -73,6 +75,6 @@ if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit("usage: snapshot_outputs.py OUT")
     out = Path(sys.argv[1])
-    if out.exists() and any(out.iterdir()):
-        sys.exit(f"{out} is not empty")
+    if out.exists() and any(out.iterdir()) and not (out / "status.json").exists():
+        sys.exit(f"{out} is neither empty nor an earlier sweep")
     snapshot(out)
