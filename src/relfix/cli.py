@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .engine import OrbitTrace, UniquenessVerdict, certify_cauchy, iterate, probe_uniqueness
-from .errors import ConfigError, DivergenceError, PreconditionError, RelfixError, SamplingError
-from .errors import check_count, check_real
+from .errors import ConfigError, DivergenceError, EstimationError, PreconditionError, RelfixError
+from .errors import SamplingError, check_count, check_real
 from .fixtures import FIXTURES, F_REGISTRY, Fixture
 from .fractional import FbvpProblem, OperatorVariant, solve_fbvp
 from .relations import (
@@ -33,7 +33,7 @@ from .relations import (
     universal_relation,
 )
 from .spaces import Grid, ScalarPoint, point_distance, sample_space, scalar
-from .verify import compare_classical, estimate_lambda, related_pairs, verify_theorem
+from .verify import _sample_estimates, compare_classical, related_pairs, verify_theorem
 from .wdistance import WDistance, check_rlsc, check_triangle, check_w3
 
 __all__ = ["main", "console"]
@@ -162,9 +162,10 @@ def _battery_parity(fx: Fixture, sample, checks, advisories):
         "observed": complete.verdict.value,
         "detail": complete.to_record(),
     }
-    pairs = related_pairs(fx.relation, sample)
-    # A step too coarse to keep any related pair leaves no ratio to observe.
-    est = estimate_lambda(fx.map, WDistance.from_metric(), fx.relation, pairs) if pairs else None
+    try:
+        est, _ = _sample_estimates(fx.map, WDistance.from_metric(), fx.relation, sample)
+    except EstimationError:  # a step too coarse to keep any related pair
+        est = None
     checks["metric_contraction_unavailable"] = {
         "pass": est is not None and est.lambda_hat >= 1.0,
         "observed_lambda": None if est is None else est.lambda_hat,
@@ -243,12 +244,12 @@ def _battery_ordered_halving(fx: Fixture, sample, checks, advisories):
         "pass": len(comparison.mt_failures) > 0,
         "failure_count": len(comparison.mt_failures),
     }
-    est = estimate_lambda(fx.map, fx.wdistance, fx.relation, pairs)
-    est_diag = estimate_lambda(fx.map, fx.wdistance, fx.relation, pairs, include_diagonal=True)
+    est, est_diag = _sample_estimates(fx.map, fx.wdistance, fx.relation, sample)
     checks["pair_distance_contraction_on_sample"] = {
         "pass": est.is_contraction,
         "lambda_hat": est.lambda_hat,
         "lambda_hat_with_diagonal": est_diag.lambda_hat,
+        "pairs_checked": est.pairs_checked,
     }
     advisories.append(
         "diagonal pairs pin the contraction ratio at 1 because the pair "

@@ -59,7 +59,8 @@ __all__ = [
     "verify_theorem",
 ]
 
-# Most related pairs a check reads; past it the pairs are strided down.
+# Most related pairs ``related_pairs`` returns; past it they are strided down.
+# The contraction estimates of ``verify_theorem`` read every related pair.
 PAIR_CAP = 1_000_000
 
 
@@ -257,59 +258,41 @@ def _index_pairs(
 
 def _related_blocks(rel: Relation, sample: Sequence[Point]):
     """The row blocks ``rows`` of sample x sample, each with the bool mask of
-    the related pairs in ``sample[rows]`` x ``sample``.  Past ``PAIR_CAP``
-    related pairs only every k-th one in row-major order stays True, k the
-    least stride that keeps at most ``PAIR_CAP``; the pairs are counted
-    first, in a pass of their own, only when m^2 exceeds ``PAIR_CAP``."""
+    the related pairs in ``sample[rows]`` x ``sample``."""
     m = len(sample)
-    stride = 1
-    if m * m > PAIR_CAP:
-        total = sum(
-            int(np.count_nonzero(rel.matrix(sample[rows], sample))) for rows in row_blocks(m, m)
-        )
-        stride = max(1, math.ceil(total / PAIR_CAP))
-    seen = 0
     for rows in row_blocks(m, m):
-        related = rel.matrix(sample[rows], sample)
-        if stride > 1:
-            chosen = np.flatnonzero(related)
-            related[:] = False
-            related.flat[chosen[-seen % stride :: stride]] = True
-            seen += chosen.size
-            del chosen
-        yield rows, related
-
-
-def _related_chunks(rel: Relation, sample: Sequence[Point]):
-    """Row and column index arrays of the pairs ``_related_blocks`` keeps, in
-    row-major order, gathered across blocks into chunks of a quarter block:
-    through ``at`` a pair holds about twice the bytes of a ``matrix`` block
-    entry, so evaluating a chunk holds about half of what a block does."""
-    m = len(sample)
-    flat = np.empty(0, np.intp)
-    for rows, related in _related_blocks(rel, sample):
-        kept = np.flatnonzero(related)
-        kept += rows.start * m
-        flat = np.concatenate((flat, kept))
-        del kept
-        size = max(1, related.size // 4)
-        while flat.size >= size:
-            yield np.divmod(flat[:size], m)
-            flat = flat[size:]
-    if flat.size:
-        yield np.divmod(flat, m)
+        yield rows, rel.matrix(sample[rows], sample)
 
 
 def related_pairs(rel: Relation, sample: Sequence[Point]) -> Sequence[tuple[Point, Point]]:
-    """All related ordered pairs from sample x sample, deterministically
-    strided down when the count exceeds ``PAIR_CAP``.
+    """All related ordered pairs from sample x sample; past ``PAIR_CAP`` of
+    them, every k-th one in row-major order, k the least stride that keeps
+    at most ``PAIR_CAP``.  Only when m^2 exceeds ``PAIR_CAP`` are the pairs
+    counted first, in a pass of their own.
 
     The pairs are a sequence of ``(x, y)`` tuples held as index arrays into
     the sample points that appear in some pair; ``estimate_lambda`` and
     ``compare_classical`` read those arrays directly."""
     sample = as_sample(sample)
-    i, j = _block_indices((rows, 0, related) for rows, related in _related_blocks(rel, sample))
-    used = np.zeros(len(sample), dtype=bool)
+    m = len(sample)
+    stride = 1
+    if m * m > PAIR_CAP:
+        total = sum(int(np.count_nonzero(related)) for _, related in _related_blocks(rel, sample))
+        stride = max(1, math.ceil(total / PAIR_CAP))
+
+    def kept():
+        seen = 0
+        for rows, related in _related_blocks(rel, sample):
+            if stride > 1:
+                chosen = np.flatnonzero(related)
+                related[:] = False
+                related.flat[chosen[-seen % stride :: stride]] = True
+                seen += chosen.size
+                del chosen
+            yield rows, 0, related
+
+    i, j = _block_indices(kept())
+    used = np.zeros(m, dtype=bool)
     used[i] = used[j] = True
     remap = np.cumsum(used) - 1
     i = remap[i]  # rebinding frees each old array before the next is copied
@@ -385,50 +368,34 @@ def _sample_estimates(
     rel: Relation,
     sample: Sequence[Point],
 ) -> tuple[ContractionEstimate, ContractionEstimate]:
-    """The estimates without and with the diagonal over the related sample
-    pairs, strided down as ``related_pairs`` does past ``PAIR_CAP``.
+    """The estimates without and with the diagonal over every related sample
+    pair, however many there are.
 
     The relation and the pair distances are evaluated a block of rows at a
     time, and the distances are folded into ratios in place, so no array
-    spans the whole sample x sample.  Past ``PAIR_CAP`` entries the
-    distances are evaluated on the kept pairs only.
+    spans the whole sample x sample.
     """
     m = len(sample)
     images = map_.apply_all(sample)
     plain, with_diagonal = _WorstRatio(False), _WorstRatio(True)
 
-    def fold(pair_at, pairs: int, diagonal: np.ndarray, base: np.ndarray, ratios: np.ndarray):
-        zero, moved = _ratios(base, ratios)
+    def fold(rows: slice, related: np.ndarray) -> None:
+        # a function, so that a block's arrays are freed before the next one's
+        def pair_at(k: int):
+            i, j = divmod(int(k), m)
+            return sample[rows.start + i], sample[j]
+
+        pairs = int(np.count_nonzero(related))
+        diagonal = _SAME_POINT.matrix(sample[rows], sample, where=related)
+        ratios = p.matrix(images[rows], images, where=related)
+        zero, moved = _ratios(p.matrix(sample[rows], sample, where=related), ratios)
         with_diagonal.add(pair_at, ratios, pairs, zero, moved)
         ratios[diagonal] = -math.inf
         zero[diagonal] = moved[diagonal] = False
         plain.add(pair_at, ratios, pairs - int(np.count_nonzero(diagonal)), zero, moved)
 
-    if m * m > PAIR_CAP:
-        # At most PAIR_CAP of the m^2 pairs are kept, so only those are
-        # evaluated; below the cap whole row blocks take less time and memory.
-        for i, j in _related_chunks(rel, sample):
-            fold(
-                lambda k: (sample[int(i[k])], sample[int(j[k])]),
-                i.size,
-                _SAME_POINT.at(sample, sample, i, j),
-                p.at(sample, sample, i, j),
-                p.at(images, images, i, j),
-            )
-    else:
-        for rows, selected in _related_blocks(rel, sample):
-
-            def pair_at(k: int, start: int = rows.start):
-                i, j = divmod(int(k), m)
-                return sample[start + i], sample[j]
-
-            fold(
-                pair_at,
-                int(np.count_nonzero(selected)),
-                _SAME_POINT.matrix(sample[rows], sample, where=selected),
-                p.matrix(sample[rows], sample, where=selected),
-                p.matrix(images[rows], images, where=selected),
-            )
+    for rows, related in _related_blocks(rel, sample):
+        fold(rows, related)
     if not with_diagonal.checked:
         raise EstimationError("cannot estimate a contraction factor from an empty pair set")
     return plain.estimate(), with_diagonal.estimate()
@@ -482,6 +449,8 @@ def verify_theorem(
         reasons.append(
             f"contraction unverified: lambda_hat = {estimate.lambda_hat:.6g}, "
             f"{len(estimate.zero_p_violations)} zero-p violations"
+            if estimate.pairs_checked
+            else "contraction unverified: no off-diagonal related pair was checked"
         )
 
     orbit: OrbitTrace | None = None

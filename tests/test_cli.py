@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relfix.verify
 from relfix.cli import (
     STATUS_CHECK_FAILED,
     STATUS_OK,
@@ -83,6 +84,27 @@ class TestVerifyExample:
         assert main(["verify-example", "Ex2_3", "--out", str(out)]) == STATUS_OK
         record = json.loads((out / "report.json").read_text())
         assert record["advisories"]
+
+    def test_lambda_hat_never_falls_as_the_step_halves(self, tmp_path, monkeypatch):
+        # 80 and 160 points of Ex2_3, past a pair cap of 2,000: the estimate
+        # reads every off-diagonal related pair, m (m - 1) / 2 of them
+        monkeypatch.setattr(relfix.verify, "PAIR_CAP", 2000)
+        checks = []
+        for step in ("0.025", "0.0125"):
+            out = tmp_path / step
+            assert main(["verify-example", "Ex2_3", "--step", step, "--out", str(out)]) == STATUS_OK
+            record = json.loads((out / "report.json").read_text())
+            checks.append(record["checks"]["pair_distance_contraction_on_sample"])
+        assert checks[0]["lambda_hat"] <= checks[1]["lambda_hat"]
+        assert [c["pairs_checked"] for c in checks] == [80 * 79 // 2, 160 * 159 // 2]
+
+    def test_one_point_sample_reports_no_pair_checked(self, tmp_path):
+        out = tmp_path / "one_point"
+        args = ["verify-example", "Ex2_3", "--step", "3", "--out", str(out)]
+        assert main(args) == STATUS_CHECK_FAILED
+        check = json.loads((out / "report.json").read_text())["checks"]
+        assert check["pair_distance_contraction_on_sample"]["pairs_checked"] == 0
+        assert check["pair_distance_contraction_on_sample"]["pass"] is False
 
 
     @pytest.mark.parametrize("step", ["nan", "1e-300"])

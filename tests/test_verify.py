@@ -422,6 +422,14 @@ class TestVerifyTheorem:
         assert report.orbit is None
         assert any(r.startswith("contraction unverified: ") for r in report.reasons)
 
+    def test_no_off_diagonal_pair_is_the_reason_given(self):
+        report = verify_theorem(
+            DOUBLE, interval_space(0.0, 10.0), EQUAL, WDistance.from_metric(),
+            [scalar(2.0), scalar(3.0)], scalar(0.0),
+        )
+        assert "contraction unverified: no off-diagonal related pair was checked" in report.reasons
+        assert not any("lambda_hat" in r for r in report.reasons)
+
     @pytest.mark.parametrize(
         "map_, space, rel, seed, reason",
         [
@@ -481,12 +489,10 @@ def test_estimate_monotone_in_pair_set(subset_size, extra_size):
     assert est_big.lambda_hat >= est_small.lambda_hat
 
 
-def scan_estimates(map_, p, rel, sample, cap):
+def scan_estimates(map_, p, rel, sample):
     """Both contraction estimates, without and then with the diagonal, by a
-    plain scan of the related sample pairs in row-major order, every k-th
-    one kept when there are more than ``cap``."""
+    plain scan of every related sample pair in row-major order."""
     related = [(x, y) for x in sample for y in sample if rel(x, y)]
-    related = related[:: math.ceil(len(related) / cap)]
     estimates = []
     for include_diagonal in (False, True):
         best, witness, checked, zero, violations = 0.0, None, 0, 0, []
@@ -532,10 +538,9 @@ SCAN_MAP = SelfMap.elementwise("fold", lambda v: np.abs(v - 1.25) * 0.5)
 def test_sample_estimates_match_a_plain_scan(seed, distance, cap, block, per_pair, monkeypatch):
     # 40 draws from 12 quarter values: repeated points put same-point pairs
     # off the index diagonal, and tied ratios test that the first maximum
-    # wins.  Each sample has 1,002 to 1,063 related pairs, so every cap
-    # below 1,600 = 40^2 takes the path that evaluates only the kept pairs,
-    # and 1,100 takes it without thinning; blocks of 64 or 200 entries
-    # split the kept pairs into chunks that span several row blocks.
+    # wins.  Each sample has 1,002 to 1,063 related pairs and 1,600 = 40^2
+    # pairs in all, past every cap here: ``related_pairs`` would thin them
+    # at 37 and 150, and the estimates read every related pair all the same.
     values = np.random.default_rng(seed).integers(0, 12, size=40) / 4.0
     sample = as_sample([scalar(v) for v in values])
     rel, map_, p = SCAN_RELATION, SCAN_MAP, SCAN_DISTANCES[distance]
@@ -543,11 +548,28 @@ def test_sample_estimates_match_a_plain_scan(seed, distance, cap, block, per_pai
         monkeypatch.setattr(relfix.verify, "PAIR_CAP", cap)
     if block is not None:
         monkeypatch.setattr(relfix.spaces, "BLOCK_ELEMENTS", block)
-    want = scan_estimates(map_, p, rel, sample, relfix.verify.PAIR_CAP)
+    want = scan_estimates(map_, p, rel, sample)
     if per_pair:
         rel, map_, p = (dataclasses.replace(c, array=None) for c in (rel, map_, p))
     got = relfix.verify._sample_estimates(map_, p, rel, sample)
     assert got == want
-    assert got[1].pairs_checked <= relfix.verify.PAIR_CAP
+    assert 1002 <= got[1].pairs_checked <= 1063
     assert got[0].pairs_checked < got[1].pairs_checked
     assert got[0].zero_p_violations and got[0].lambda_hat > 0.0
+
+
+@pytest.mark.parametrize("key", ["Ex2_3", "Ex2_4"])
+def test_lambda_hat_never_falls_over_nested_lattices(key, monkeypatch):
+    # Each step halves the one before, so each lattice holds the last one's
+    # points and the supremum over its related pairs cannot fall.  From
+    # Ex2_3's 80 points and Ex2_4's 201 on, the related pairs pass the cap.
+    monkeypatch.setattr(relfix.verify, "PAIR_CAP", 2000)
+    fx = FIXTURES[key]()
+    lambdas = []
+    for refine in (1, 2, 4, 8, 16):
+        sample = sample_space(fx.space, step=fx.default_step / refine)
+        plain, _ = relfix.verify._sample_estimates(fx.map, fx.wdistance, fx.relation, sample)
+        lambdas.append(plain.lambda_hat)
+    assert lambdas == sorted(lambdas), lambdas
+    if key == "Ex2_4":
+        assert lambdas == [0.75] * 5
