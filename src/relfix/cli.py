@@ -32,7 +32,7 @@ from .relations import (
     find_start_points,
     universal_relation,
 )
-from .spaces import Grid, ScalarPoint, point_distance, sample_space, scalar
+from .spaces import Grid, ScalarPoint, ScalarSample, point_distance, sample_space, scalar
 from .verify import _sample_estimates, compare_classical, related_pairs, verify_theorem
 from .wdistance import WDistance, check_rlsc, check_triangle, check_w3
 
@@ -174,8 +174,8 @@ def _battery_parity(fx: Fixture, sample, checks, advisories):
 
 
 def _battery_ceiling(fx: Fixture, sample, checks, advisories):
-    left = [scalar(1.0 - 1.0 / (5 * (n + 1))) for n in range(1, 61)]
-    right = [scalar(1.0 + 1.0 / (5 * (n + 1))) for n in range(1, 61)]
+    gaps = 1.0 / (5 * (np.arange(1, 61) + 1))
+    left, right = ScalarSample(1.0 - gaps), ScalarSample(1.0 + gaps)
     limit = scalar(1.0)
     rep_left = check_rlsc(fx.value_p, scalar(0.0), fx.relation, left, limit, conv_tol=0.01)
     checks["lower_semicontinuity_left_approach"] = {
@@ -200,8 +200,8 @@ def _battery_ceiling(fx: Fixture, sample, checks, advisories):
 
 
 def _battery_plateau(fx: Fixture, sample, checks, advisories):
-    below = [scalar(1.0 - 1.0 / (n + 2)) for n in range(1, 81)]
-    above = [scalar(1.0 + 1.0 / (n + 2)) for n in range(1, 81)]
+    gaps = 1.0 / (np.arange(1, 81) + 2)
+    below, above = ScalarSample(1.0 - gaps), ScalarSample(1.0 + gaps)
     limit = scalar(1.0)
     rep = check_rlsc(fx.value_p, scalar(0.0), fx.relation, below, limit, conv_tol=0.02)
     checks["lower_semicontinuity_preserving_sequences"] = {

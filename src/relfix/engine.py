@@ -18,7 +18,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, PreconditionError, check_count, check_real
+from .errors import DivergenceError, DomainError, PreconditionError, ShapeError
+from .errors import check_count, check_real
 from .relations import Relation, check_complete_on
 from .spaces import (
     GridFn,
@@ -96,7 +97,16 @@ class SelfMap:
         if self.array is None or not isinstance(sample, ScalarSample):
             return [self.apply(pt) for pt in sample]
         with np.errstate(all="ignore"):
-            return ScalarSample(np.broadcast_to(self.array(sample.values), len(sample)))
+            image = self.array(sample.values)
+        values = np.empty(sample.values.size)
+        try:
+            values[:] = image
+        except ValueError:
+            raise ShapeError(
+                f"{self.name}: array form gave shape {np.shape(image)}, "
+                f"which does not broadcast to the sample's shape {values.shape}"
+            ) from None
+        return ScalarSample(values)
 
     @staticmethod
     def elementwise(name: str, fn: Callable) -> "SelfMap":

@@ -389,8 +389,10 @@ def evaluate_pairs(
     off the ``where`` mask hold ``fill``, whose type is that of the result.
 
     When ``array`` is given and every point is a ``ScalarPoint`` it is
-    broadcast over the values of ``as_sample``, a block of rows at a time;
-    otherwise ``fn`` runs once per pair inside the mask, a row at a time,
+    broadcast over the values of ``as_sample``, a block of rows at a time,
+    and its result is written straight into the block; a result that does
+    not broadcast to its block raises ``ShapeError`` naming ``fn.name``.
+    Otherwise ``fn`` runs once per pair inside the mask, a row at a time,
     on points read once from each side.  This is the only place the two
     evaluation paths part.
     """
@@ -398,20 +400,28 @@ def evaluate_pairs(
         i, j = (np.asarray(k, dtype=np.intp) for k in at)
         if i.shape != j.shape:
             raise ShapeError(f"cannot align {len(i)} indices with {len(j)}")
-    out = np.full((len(xs), len(ys)) if at is None else i.shape, fill)
     if array is not None:
         xs, ys = as_sample(xs), as_sample(ys)
+    shape = (len(xs), len(ys)) if at is None else i.shape
+    # every entry is written, except those a ``where`` mask leaves at ``fill``
+    out = np.empty(shape, type(fill)) if where is None else np.full(shape, fill)
     if array is not None and isinstance(xs, ScalarSample) and isinstance(ys, ScalarSample):
         vx, vy = xs.values, ys.values
-        blocks = row_blocks(len(xs), len(ys)) if at is None else [slice(None)]
+        blocks = row_blocks(*shape) if at is None else [slice(None)]
         with np.errstate(all="ignore"):
             for rows in blocks:
                 a, b = (vx[rows, None], vy[None, :]) if at is None else (vx[i], vy[j])
-                value = np.broadcast_to(array(a, b), out[rows].shape)
-                if where is None:
-                    out[rows] = value
-                else:
-                    np.copyto(out[rows], value, casting="unsafe", where=where[rows])
+                value = array(a, b)
+                try:
+                    if where is None:
+                        out[rows] = value
+                    else:
+                        np.copyto(out[rows], value, casting="unsafe", where=where[rows])
+                except ValueError:
+                    raise ShapeError(
+                        f"{fn.name}: array form gave shape {np.shape(value)}, "
+                        f"which does not broadcast to its block of shape {out[rows].shape}"
+                    ) from None
         return out
     xs, ys = list(xs), list(ys)
     if at is not None:

@@ -93,10 +93,13 @@ class WDistance:
         return self._validated(values, None)
 
     def _validated(self, values: np.ndarray, where: np.ndarray | None) -> np.ndarray:
-        bad = ~(np.isfinite(values) & (values >= 0.0))
-        if where is not None:
-            bad &= where
-        if bad.any():
+        # NaN, -inf and negative values fail the first comparison, +inf the
+        # second; off the mask every value is the NaN fill, so each value
+        # inside it is valid when the counts agree
+        ok = values >= 0.0
+        ok &= values < np.inf
+        if np.count_nonzero(ok) != (values.size if where is None else np.count_nonzero(where)):
+            bad = ~ok if where is None else ~ok & where
             value = float(values[np.unravel_index(np.argmax(bad), bad.shape)])
             raise DomainError(f"{self.name} produced an invalid pair distance {value!r}")
         return values

@@ -8,6 +8,7 @@ with a plain ``point_distance`` loop instead.
 """
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -35,6 +36,7 @@ from relfix import (
     find_start_points,
     function_space,
     Grid,
+    interval_space,
     iterate,
     point_distance,
     probe_uniqueness,
@@ -42,6 +44,7 @@ from relfix import (
     ScalarPoint,
     sample_space,
     scalar,
+    universal_relation,
     verify_theorem,
 )
 from relfix import verify
@@ -197,13 +200,69 @@ class TestEvaluationPaths:
             blow_up.apply(sample[1])
 
     def test_invalid_pair_distance_raised_only_inside_the_mask(self):
-        signed = WDistance.elementwise("signed_gap", lambda x, y: y - x)
         sample = [scalar(v) for v in (0.0, 1.0, 2.0)]
         upper = np.triu(np.ones((3, 3), dtype=bool))
-        values = signed.matrix(sample, sample, where=upper)
-        assert np.isnan(values[1, 0]) and values[0, 2] == 2.0
-        with pytest.raises(DomainError, match="-1.0"):
-            signed.matrix(sample, sample)
+        for bad in (-1.0, np.nan, np.inf, -np.inf):
+            # the invalid value sits at the pair (x, y) = (1, 0) alone
+            odd = WDistance.elementwise(
+                "odd", lambda x, y: np.where((x == 1.0) & (y == 0.0), bad, np.abs(y - x))
+            )
+            named = f"invalid pair distance {re.escape(repr(bad))}$"
+            for p in (odd, dataclasses.replace(odd, array=None)):
+                values = p.matrix(sample, sample, where=upper)
+                assert np.isnan(values[1, 0]) and values[0, 2] == 2.0
+                assert p.at(sample, sample, [0, 2, 1], [1, 0, 1]).tolist() == [1.0, 2.0, 0.0]
+                with pytest.raises(DomainError, match=named):
+                    p.matrix(sample, sample)
+                with pytest.raises(DomainError, match=named):
+                    p.matrix(sample, sample, where=~upper)
+                with pytest.raises(DomainError, match=named):
+                    p.at(sample, sample, [0, 1], [1, 0])
+
+    def test_scalar_array_results_fill_the_whole_shape(self):
+        # array forms that return one scalar for every pair or point give
+        # the per-pair path's results, entry for entry
+        sample = sample_space(interval_space(0.0, 2.0), step=0.5)
+        i, j = [0, 3, 4, 4], [1, 1, 0, 4]
+        upper = np.triu(np.ones((5, 5), dtype=bool))
+        calls = [
+            lambda obj: obj.matrix(sample, sample),
+            lambda obj: obj.matrix(sample, sample, where=upper),
+            lambda obj: obj.at(sample, sample, i, j),
+        ]
+        for obj in (universal_relation(), WDistance.elementwise("one", lambda x, y: 1.0)):
+            looped = dataclasses.replace(obj, array=None)
+            for call in calls:
+                got, want = call(obj), call(looped)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+        one = SelfMap.elementwise("one", lambda v: 1.0)
+        images = one.apply_all(sample)
+        assert isinstance(images, relfix.spaces.ScalarSample)
+        assert images == dataclasses.replace(one, array=None).apply_all(sample) == [scalar(1.0)] * 5
+
+    @pytest.mark.parametrize(
+        "call, block",
+        [
+            (lambda rel, s: rel.matrix(s, s), (5, 5)),
+            (lambda rel, s: rel.matrix(s, s, where=np.eye(5, dtype=bool)), (5, 5)),
+            (lambda rel, s: rel.at(s, s, [0, 1, 2], [2, 3, 4]), (3,)),
+        ],
+        ids=["matrix", "matrix-where", "at"],
+    )
+    def test_relation_array_form_of_the_wrong_shape_is_a_shape_error(self, call, block):
+        bad = Relation.elementwise("bad", lambda x, y: np.zeros(7, bool))
+        sample = sample_space(interval_space(0.0, 4.0), step=1.0)
+        named = re.escape("bad: array form gave shape (7,), ") + ".*" + re.escape(str(block))
+        with pytest.raises(ShapeError, match=named + "$"):
+            call(bad, sample)
+
+    def test_map_array_form_of_the_wrong_shape_is_a_shape_error(self):
+        bad = SelfMap.elementwise("bad", lambda v: np.zeros(7))
+        sample = sample_space(interval_space(0.0, 4.0), step=1.0)
+        named = re.escape("bad: array form gave shape (7,), ") + ".*" + re.escape("(5,)")
+        with pytest.raises(ShapeError, match=named + "$"):
+            bad.apply_all(sample)
 
 
 def test_theorem_on_fine_shrink_sample_in_bounded_memory():
@@ -374,6 +433,16 @@ def test_uniqueness_probe_builds_only_the_ancestors_it_reads(tmp_path, monkeypat
     builds = PointBuilds(monkeypatch)
     assert main(["verify-example", "Ex2_4", "--step", "0.0025", "--out", str(tmp_path)]) == 0
     assert builds.count < 200, builds.count
+
+
+@pytest.mark.parametrize("key", ["Ex1_13", "Ex1_14"])
+def test_approach_batteries_build_only_the_points_they_read(key, tmp_path, monkeypatch):
+    # the approach sequences (120 points for Ex1_13, 160 for Ex1_14) stay
+    # float arrays; a run builds its anchors and limits, each sequence's
+    # last point and the worst tail point of each semi-continuity check
+    builds = PointBuilds(monkeypatch)
+    assert main(["verify-example", key, "--out", str(tmp_path)]) == 0
+    assert builds.count <= 12, builds.count
 
 
 def test_space_check_builds_at_most_the_first_point_outside(monkeypatch):
