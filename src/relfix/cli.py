@@ -536,6 +536,9 @@ def run_report(in_dir: Path) -> int:
     summary = _json_object(record.get("summary", {}), f"{path} summary")
     for name, check in checks.items():
         _json_object(check, f"{path} check {name!r}")
+    verdicts = [check.get("pass", False) for check in checks.values()]
+    if not all(isinstance(v, bool) for v in verdicts + [summary.get("all_pass", False)]):
+        raise ConfigError(f"{path} holds a pass or all_pass that is not a JSON boolean")
     advisories = record.get("advisories", [])
     if not isinstance(advisories, list) or not all(isinstance(a, str) for a in advisories):
         raise ConfigError(f"{path} advisories are not a JSON array of strings")

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, PreconditionError, ShapeError
+from .errors import DivergenceError, DomainError, PreconditionError
 from .errors import check_count, check_real
 from .relations import Relation, check_complete_on
 from .spaces import (
@@ -26,6 +26,7 @@ from .spaces import (
     Point,
     ScalarPoint,
     ScalarSample,
+    _assign,
     as_sample,
     as_scalar,
     as_values,
@@ -99,13 +100,7 @@ class SelfMap:
         with np.errstate(all="ignore"):
             image = self.array(sample.values)
         values = np.empty(sample.values.size)
-        try:
-            values[:] = image
-        except ValueError:
-            raise ShapeError(
-                f"{self.name}: array form gave shape {np.shape(image)}, "
-                f"which does not broadcast to the sample's shape {values.shape}"
-            ) from None
+        _assign(values, image, self.name)
         return ScalarSample(values)
 
     @staticmethod

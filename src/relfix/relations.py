@@ -18,13 +18,11 @@ import numpy as np
 from .errors import PreconditionError, check_real
 from .spaces import (
     Point,
-    _block_indices,
-    _Lazy,
+    _PairFunction,
+    _pairs_in,
     as_sample,
-    as_scalar,
     as_values,
     describe_point,
-    evaluate_pairs,
     nonempty_sample,
     point_distance,
     row_blocks,
@@ -67,7 +65,7 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class Relation:
+class Relation(_PairFunction):
     """A decidable predicate over ordered point pairs.
 
     ``array``, when present, is the same predicate written with numpy
@@ -79,29 +77,10 @@ class Relation:
     holds: Callable[[Point, Point], bool]
     array: Callable | None = field(default=None, repr=False, compare=False)
 
+    fill = False
+
     def __call__(self, x: Point, y: Point) -> bool:
         return bool(self.holds(x, y))
-
-    def matrix(
-        self, xs: Sequence[Point], ys: Sequence[Point], where: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Bool array of ``self(xs[i], ys[j])``; False off the ``where`` mask."""
-        return evaluate_pairs(self, self.array, xs, ys, fill=False, where=where)
-
-    def at(self, xs: Sequence[Point], ys: Sequence[Point], i, j) -> np.ndarray:
-        """Bool array of ``self(xs[i[k]], ys[j[k]])`` over the index pairs."""
-        return evaluate_pairs(self, self.array, xs, ys, fill=False, at=(i, j))
-
-    @staticmethod
-    def elementwise(name: str, pred: Callable) -> "Relation":
-        """A relation on scalar points from one predicate written with numpy
-        operations (``&``, ``|``, ``np.where``), so that it accepts floats and
-        broadcast arrays alike."""
-        return Relation(name, lambda x, y: bool(pred(as_scalar(x), as_scalar(y))), pred)
-
-    @staticmethod
-    def on_scalars(name: str, pred: Callable[[float, float], bool]) -> "Relation":
-        return Relation(name, lambda x, y: bool(pred(as_scalar(x), as_scalar(y))))
 
     @staticmethod
     def on_grids(name: str, pred) -> "Relation":
@@ -186,8 +165,7 @@ def _check_closed(
         return bad
 
     m = len(sample)
-    i, j = _block_indices((rows, 0, failing(rows)) for rows in row_blocks(m, m))
-    bad = _Lazy(i.size, lambda k: (sample[i[k]], sample[j[k]]))  # built when read
+    bad = _pairs_in(sample, ((rows, 0, failing(rows)) for rows in row_blocks(m, m)))
     verdict = Verdict.FAILS_WITH_WITNESS if bad else Verdict.HOLDS_ON_SAMPLE
     prop = RelationProperty.WEAK_T_CLOSED if either_order else RelationProperty.T_CLOSED
     return RelationReport(prop, verdict, bad, len(sample))
@@ -227,8 +205,7 @@ def check_complete_on(rel: Relation, sample: Sequence[Point]) -> RelationReport:
         return out
 
     m = len(sample)
-    i, j = _block_indices((rows, rows.start, unrelated(rows)) for rows in row_blocks(m, m))
-    bad = _Lazy(i.size, lambda k: (sample[i[k]], sample[j[k]]))
+    bad = _pairs_in(sample, ((rows, rows.start, unrelated(rows)) for rows in row_blocks(m, m)))
     verdict = Verdict.FAILS_WITH_WITNESS if bad else Verdict.HOLDS_ON_SAMPLE
     return RelationReport(RelationProperty.COMPLETE, verdict, bad, len(sample))
 

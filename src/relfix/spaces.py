@@ -360,74 +360,118 @@ def row_blocks(rows: int, width: int):
         yield slice(start, min(start + step, rows))
 
 
-def _block_indices(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays, in row-major order, of the True entries
-    of a bool array met in order as ``(rows, left, mask)``: ``mask`` holds
-    the entries of the rows ``rows`` from column ``left`` on, and the
-    entries left of it are False."""
+class _Pairs(_Lazy):
+    """The pairs ``(points[i[k]], points[j[k]])``, held as index arrays;
+    ``relation``, when given, relates every one of them."""
+
+    def __init__(self, points: Sequence[Point], i: np.ndarray, j: np.ndarray, relation=None):
+        super().__init__(i.size, lambda k: (points[i[k]], points[j[k]]))
+        self.points, self.i, self.j, self.relation = points, i, j, relation
+
+
+def _pairs_in(points: Sequence[Point], blocks, relation=None) -> _Pairs:
+    """The pairs of ``points``, in row-major order, at the True entries of a
+    bool array met in order as ``(rows, left, mask)``: ``mask`` holds the
+    entries of the rows ``rows`` from column ``left`` on, and the entries
+    left of it are False.  Only the points in some pair are kept."""
     i, j = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for rows, left, mask in blocks:
         r, c = np.nonzero(mask)  # two views of one buffer, which the sums below free
         i.append(r + rows.start)
         j.append(c + left)
     i = np.concatenate(i)  # frees the row pieces before the column ones are joined
-    return i, np.concatenate(j)
+    j = np.concatenate(j)
+    used = np.zeros(len(points), dtype=bool)
+    used[i] = used[j] = True
+    remap = np.cumsum(used) - 1
+    i = remap[i]  # rebinding frees each old array before the next is copied
+    j = remap[j]
+    return _Pairs(take(points, np.flatnonzero(used)), i, j, relation)
 
 
-def evaluate_pairs(
-    fn: Callable[[Point, Point], object],
-    array: Callable | None,
-    xs: Sequence[Point],
-    ys: Sequence[Point],
-    *,
-    fill,
-    where: np.ndarray | None = None,
-    at: tuple[Sequence[int], Sequence[int]] | None = None,
-) -> np.ndarray:
-    """``fn(xs[i], ys[j])`` for every i, j, or with ``at=(i, j)`` for each
-    index pair ``fn(xs[i[k]], ys[j[k]])``.  In the all-pairs form, entries
-    off the ``where`` mask hold ``fill``, whose type is that of the result.
+def _assign(out: np.ndarray, value, name: str, rows=slice(None), where=None) -> None:
+    """Write an array form's result ``value`` into ``out[rows]``, only on
+    ``where[rows]`` when a mask is given; a result that does not broadcast
+    to the block raises ``ShapeError`` naming ``name``."""
+    try:
+        if where is None:
+            out[rows] = value
+        else:
+            np.copyto(out[rows], value, casting="unsafe", where=where[rows])
+    except ValueError:
+        raise ShapeError(
+            f"{name}: array form gave shape {np.shape(value)}, "
+            f"which does not broadcast to its block of shape {out[rows].shape}"
+        ) from None
 
-    When ``array`` is given and every point is a ``ScalarPoint`` it is
-    broadcast over the values of ``as_sample``, a block of rows at a time,
-    and its result is written straight into the block; a result that does
-    not broadcast to its block raises ``ShapeError`` naming ``fn.name``.
-    Otherwise ``fn`` runs once per pair inside the mask, a row at a time,
-    on points read once from each side.  This is the only place the two
-    evaluation paths part.
+
+class _PairFunction:
+    """Evaluation over point pairs, shared by ``Relation`` and ``WDistance``.
+
+    A subclass is a dataclass with the fields ``name`` and ``array``; it
+    defines ``__call__`` on one pair and ``fill``, the value off a ``where``
+    mask, whose type is the result's, and may override ``_checked``, which
+    sees every result.  ``array``, when present, is the same function in
+    numpy operations on scalar values; ``matrix`` and ``at`` broadcast it
+    over all-scalar samples instead of calling ``self`` once per pair.
     """
-    if at is not None:
-        i, j = (np.asarray(k, dtype=np.intp) for k in at)
-        if i.shape != j.shape:
-            raise ShapeError(f"cannot align {len(i)} indices with {len(j)}")
-    if array is not None:
-        xs, ys = as_sample(xs), as_sample(ys)
-    shape = (len(xs), len(ys)) if at is None else i.shape
-    # every entry is written, except those a ``where`` mask leaves at ``fill``
-    out = np.empty(shape, type(fill)) if where is None else np.full(shape, fill)
-    if array is not None and isinstance(xs, ScalarSample) and isinstance(ys, ScalarSample):
-        vx, vy = xs.values, ys.values
-        blocks = row_blocks(*shape) if at is None else [slice(None)]
-        with np.errstate(all="ignore"):
-            for rows in blocks:
-                a, b = (vx[rows, None], vy[None, :]) if at is None else (vx[i], vy[j])
-                value = array(a, b)
-                try:
-                    if where is None:
-                        out[rows] = value
-                    else:
-                        np.copyto(out[rows], value, casting="unsafe", where=where[rows])
-                except ValueError:
-                    raise ShapeError(
-                        f"{fn.name}: array form gave shape {np.shape(value)}, "
-                        f"which does not broadcast to its block of shape {out[rows].shape}"
-                    ) from None
+
+    def matrix(
+        self, xs: Sequence[Point], ys: Sequence[Point], where: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Array of ``self(xs[i], ys[j])``, ``fill`` off the ``where`` mask."""
+        return self._checked(self._evaluate(xs, ys, where, None), where)
+
+    def at(self, xs: Sequence[Point], ys: Sequence[Point], i, j) -> np.ndarray:
+        """Array of ``self(xs[i[k]], ys[j[k]])`` over the index pairs."""
+        return self._checked(self._evaluate(xs, ys, None, (i, j)), None)
+
+    def _checked(self, values: np.ndarray, where: np.ndarray | None) -> np.ndarray:
+        return values
+
+    def _evaluate(self, xs, ys, where, at) -> np.ndarray:
+        """The all-pairs or, with ``at=(i, j)``, the index-pair form.
+
+        When ``array`` is given and every point is a ``ScalarPoint`` it is
+        broadcast over the values of ``as_sample``, a block of rows at a
+        time, and its result is written straight into the block.  Otherwise
+        ``self`` runs once per pair inside the mask, a row at a time, on
+        points read once from each side.  This is the only place the two
+        evaluation paths part.
+        """
+        if at is not None:
+            i, j = (np.asarray(k, dtype=np.intp) for k in at)
+            if i.shape != j.shape:
+                raise ShapeError(f"cannot align {len(i)} indices with {len(j)}")
+        if self.array is not None:
+            xs, ys = as_sample(xs), as_sample(ys)
+        shape = (len(xs), len(ys)) if at is None else i.shape
+        # every entry is written, except those a ``where`` mask leaves at ``fill``
+        out = np.empty(shape, type(self.fill)) if where is None else np.full(shape, self.fill)
+        if self.array is not None and isinstance(xs, ScalarSample) and isinstance(ys, ScalarSample):
+            vx, vy = xs.values, ys.values
+            blocks = row_blocks(*shape) if at is None else [slice(None)]
+            with np.errstate(all="ignore"):
+                for rows in blocks:
+                    a, b = (vx[rows, None], vy[None, :]) if at is None else (vx[i], vy[j])
+                    _assign(out, self.array(a, b), self.name, rows, where)
+            return out
+        xs, ys = list(xs), list(ys)
+        if at is not None:
+            out[:] = [self(xs[a], ys[b]) for a, b in zip(i.tolist(), j.tolist())]
+            return out
+        for i, x in enumerate(xs):
+            cols = range(len(ys)) if where is None else np.flatnonzero(where[i]).tolist()
+            out[i, cols] = [self(x, ys[j]) for j in cols]
         return out
-    xs, ys = list(xs), list(ys)
-    if at is not None:
-        out[:] = [fn(xs[a], ys[b]) for a, b in zip(i.tolist(), j.tolist())]
-        return out
-    for i, x in enumerate(xs):
-        cols = range(len(ys)) if where is None else np.flatnonzero(where[i]).tolist()
-        out[i, cols] = [fn(x, ys[j]) for j in cols]
-    return out
+
+    @classmethod
+    def elementwise(cls, name: str, fn: Callable):
+        """An instance on scalar points from one function written with numpy
+        operations (``&``, ``|``, ``np.where``), so that it accepts floats
+        and broadcast arrays alike."""
+        return cls(name, lambda x, y: fn(as_scalar(x), as_scalar(y)), fn)
+
+    @classmethod
+    def on_scalars(cls, name: str, fn: Callable[[float, float], object]):
+        return cls(name, lambda x, y: fn(as_scalar(x), as_scalar(y)))

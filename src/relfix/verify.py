@@ -35,15 +35,15 @@ from .relations import (
 from .spaces import (
     MetricSpace,
     Point,
-    _block_indices,
     _Lazy,
+    _Pairs,
+    _pairs_in,
     as_sample,
     check_space,
     describe_point,
     nonempty_sample,
     points_equal,
     row_blocks,
-    take,
 )
 from .wdistance import WDistance
 
@@ -109,15 +109,6 @@ class PairComparison:
             "d_pair": self.d_pair,
             "m_displacement": self.m_displacement,
         }
-
-
-class _PairSet(_Lazy):
-    """Pairs ``(points[i[k]], points[j[k]])``, all related under
-    ``relation``."""
-
-    def __init__(self, relation: Relation, points: Sequence[Point], i: np.ndarray, j: np.ndarray):
-        super().__init__(i.size, lambda k: (points[i[k]], points[j[k]]))
-        self.relation, self.points, self.i, self.j = relation, points, i, j
 
 
 @dataclass(frozen=True)
@@ -232,10 +223,10 @@ def _index_pairs(
     """The pairs' distinct points and index arrays with
     ``pairs[k] == (points[i[k]], points[j[k]])``, all related under ``rel``.
 
-    A pair set from ``related_pairs`` gives its own arrays, re-checked only
-    when it was built under another relation; any other sequence is hashed
+    Index-backed pairs give their own arrays, re-checked unless
+    ``related_pairs`` built them under ``rel``; any other sequence is hashed
     into its distinct points in order of first appearance."""
-    if isinstance(pairs, _PairSet):
+    if isinstance(pairs, _Pairs):
         points, i, j = pairs.points, pairs.i, pairs.j
         if pairs.relation is rel:
             return points, i, j
@@ -291,13 +282,7 @@ def related_pairs(rel: Relation, sample: Sequence[Point]) -> Sequence[tuple[Poin
                 del chosen
             yield rows, 0, related
 
-    i, j = _block_indices(kept())
-    used = np.zeros(m, dtype=bool)
-    used[i] = used[j] = True
-    remap = np.cumsum(used) - 1
-    i = remap[i]  # rebinding frees each old array before the next is copied
-    j = remap[j]
-    return _PairSet(rel, take(sample, np.flatnonzero(used)), i, j)
+    return _pairs_in(sample, kept(), rel)
 
 
 def estimate_lambda(

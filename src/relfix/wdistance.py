@@ -25,10 +25,9 @@ from .relations import Relation, Verdict, preserving_tail
 from .spaces import (
     MetricSpace,
     Point,
-    as_scalar,
+    _PairFunction,
     check_space,
     describe_point,
-    evaluate_pairs,
     nonempty_sample,
     point_distance,
     row_blocks,
@@ -61,7 +60,7 @@ def _abs_gap(x, y):
 
 
 @dataclass(frozen=True)
-class WDistance:
+class WDistance(_PairFunction):
     """Named nonnegative pair function; evaluations are validated lazily.
 
     ``array``, when present, is the same function written with numpy
@@ -73,26 +72,15 @@ class WDistance:
     p: Callable[[Point, Point], float]
     array: Callable | None = field(default=None, repr=False, compare=False)
 
+    fill = np.nan
+
     def __call__(self, x: Point, y: Point) -> float:
         value = float(self.p(x, y))
         if not (math.isfinite(value) and value >= 0.0):
             raise DomainError(f"{self.name} produced an invalid pair distance {value!r}")
         return value
 
-    def matrix(
-        self, xs: Sequence[Point], ys: Sequence[Point], where: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Float array of ``self(xs[i], ys[j])``, NaN off the ``where`` mask;
-        every value inside the mask is validated."""
-        values = evaluate_pairs(self, self.array, xs, ys, fill=np.nan, where=where)
-        return self._validated(values, where)
-
-    def at(self, xs: Sequence[Point], ys: Sequence[Point], i, j) -> np.ndarray:
-        """Float array of ``self(xs[i[k]], ys[j[k]])`` over the index pairs."""
-        values = evaluate_pairs(self, self.array, xs, ys, fill=np.nan, at=(i, j))
-        return self._validated(values, None)
-
-    def _validated(self, values: np.ndarray, where: np.ndarray | None) -> np.ndarray:
+    def _checked(self, values: np.ndarray, where: np.ndarray | None) -> np.ndarray:
         # NaN, -inf and negative values fail the first comparison, +inf the
         # second; off the mask every value is the NaN fill, so each value
         # inside it is valid when the counts agree
@@ -103,17 +91,6 @@ class WDistance:
             value = float(values[np.unravel_index(np.argmax(bad), bad.shape)])
             raise DomainError(f"{self.name} produced an invalid pair distance {value!r}")
         return values
-
-    @staticmethod
-    def elementwise(name: str, fn: Callable) -> "WDistance":
-        """A pair distance on scalar points from one function written with
-        numpy operations, so that it accepts floats and broadcast arrays
-        alike."""
-        return WDistance(name, lambda x, y: float(fn(as_scalar(x), as_scalar(y))), fn)
-
-    @staticmethod
-    def on_scalars(name: str, fn: Callable[[float, float], float]) -> "WDistance":
-        return WDistance(name, lambda x, y: float(fn(as_scalar(x), as_scalar(y))))
 
     @staticmethod
     def from_metric(name: str = "metric") -> "WDistance":

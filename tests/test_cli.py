@@ -430,6 +430,18 @@ def _out_with_directory_at(directory, name: str) -> list[str]:
             lambda d: _report_in(d, b'{"advisories": ["a", 1]}'), id="report-advisory-number"
         ),
         pytest.param(
+            lambda d: _report_in(
+                d, b'{"checks": {"a": {"pass": "no"}}, "summary": {"all_pass": "no"}}'
+            ),
+            id="report-verdict-string",
+        ),
+        pytest.param(
+            lambda d: _report_in(
+                d, b'{"checks": {"a": {"pass": false}}, "summary": {"all_pass": 1}}'
+            ),
+            id="report-all-pass-number",
+        ),
+        pytest.param(
             lambda d: ["solve-fbvp", "--config", str(d), "--out", str(d / "out")],
             id="config-directory",
         ),

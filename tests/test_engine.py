@@ -31,7 +31,7 @@ from relfix import (
     universal_relation,
     zero_grid_fn,
 )
-from relfix.engine import OrbitTrace
+from relfix.engine import CAUCHY_SLACK, OrbitTrace
 from relfix.fixtures import ordered_halving_fixture, product_shrink_fixture
 
 
@@ -146,6 +146,17 @@ class TestCertifyCauchy:
         assert not check.ok
         assert len(check.violations) >= 1
 
+    @pytest.mark.parametrize("over, ok", [(2.0, False), (0.5, True)])
+    def test_slack_is_cauchy_slack(self, over, ok):
+        # p(x_0, x_1) = 1 + over * CAUCHY_SLACK against the bound u_0 = 1
+        value = 1.0 + over * CAUCHY_SLACK
+        p = WDistance.elementwise("constant", lambda x, y: value)
+        trace = OrbitTrace(
+            (scalar(0.0), scalar(1.0)), np.array([value]), np.array([1.0]), np.array([1.0]),
+            0.5, StopReason.MAX_ITER,
+        )
+        assert certify_cauchy(trace, p).ok is ok
+
 
 class TestLimitUniqueness:
     def _long_orbit(self):
@@ -171,6 +182,14 @@ class TestLimitUniqueness:
         u = [float(b) for b in trace.bound[-40:]]
         with pytest.raises(PreconditionError, match="n = 0"):
             certify_limit_uniqueness(SHRINK.wdistance, xs, scalar(0.0), scalar(0.5), u, u)
+
+    @pytest.mark.parametrize("gap, ok", [(1.5, False), (0.9, True)])
+    def test_targets_must_lie_within_the_bound_sum(self, gap, ok):
+        # with p = 0 every hypothesis holds, so d(y, z) <= u + v alone decides
+        zero = WDistance.elementwise("zero", lambda x, y: 0.0)
+        u = v = [1e-7]
+        z = scalar(gap * (u[0] + v[0]))
+        assert certify_limit_uniqueness(zero, [scalar(0.0)], scalar(0.0), z, u, v) is ok
 
     def test_unvanished_bounds_rejected(self):
         xs = [scalar(0.0)] * 3

@@ -22,6 +22,8 @@ from relfix import (
     SelfMap,
     ShapeError,
     WDistance,
+    check_complete_on,
+    check_t_closed,
     check_w3,
     compare_classical,
     estimate_lambda,
@@ -234,17 +236,21 @@ class TestPairSet:
     def test_checks_match_the_plain_list(self, key, refine):
         fx, sample = fixture_sample(key, refine)
         p = fx.wdistance or WDistance.from_metric()
-        pairs = related_pairs(fx.relation, sample)
-        listed = list(pairs)
-        for include_diagonal in (False, True):
-            assert outcome(
-                estimate_lambda, fx.map, p, fx.relation, pairs, include_diagonal
-            ) == outcome(estimate_lambda, fx.map, p, fx.relation, listed, include_diagonal)
 
         def record(ps):
             return compare_classical(fx.map, fx.space, fx.relation, ps).to_record()
 
-        assert outcome(record, pairs) == outcome(record, listed)
+        # closure witnesses are related pairs too, re-checked as untagged
+        for pairs in (
+            related_pairs(fx.relation, sample),
+            check_t_closed(fx.relation, fx.map, sample).witnesses,
+        ):
+            listed = list(pairs)
+            for include_diagonal in (False, True):
+                assert outcome(
+                    estimate_lambda, fx.map, p, fx.relation, pairs, include_diagonal
+                ) == outcome(estimate_lambda, fx.map, p, fx.relation, listed, include_diagonal)
+            assert outcome(record, pairs) == outcome(record, listed)
 
     def test_other_relation_is_rechecked(self, key, refine):
         fx, sample = fixture_sample(key, refine)
@@ -256,10 +262,14 @@ class TestPairSet:
             estimate_lambda, fx.map, p, fx.relation, related_pairs(copied, sample)
         )
         every = related_pairs(universal_relation(), sample)
-        with pytest.raises(PreconditionError, match="not related"):
-            estimate_lambda(fx.map, p, fx.relation, every)
-        with pytest.raises(PreconditionError, match="not related"):
-            compare_classical(fx.map, fx.space, fx.relation, every)
+        unrelated = check_complete_on(fx.relation, sample).witnesses
+        for foreign in (every, unrelated):
+            if not foreign:  # Ex2_3's relation is complete on its samples
+                continue
+            with pytest.raises(PreconditionError, match="not related"):
+                estimate_lambda(fx.map, p, fx.relation, foreign)
+            with pytest.raises(PreconditionError, match="not related"):
+                compare_classical(fx.map, fx.space, fx.relation, foreign)
 
 
 def test_pair_set_index_out_of_range():
