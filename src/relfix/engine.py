@@ -26,6 +26,7 @@ from .spaces import (
     Point,
     ScalarPoint,
     ScalarSample,
+    _Lazy,
     _assign,
     as_sample,
     as_scalar,
@@ -169,7 +170,7 @@ class FixedPointCertificate:
 
 class CauchyCheck(NamedTuple):
     ok: bool
-    violations: tuple[tuple[int, int, float, float], ...]
+    violations: Sequence[tuple[int, int, float, float]]
 
 
 @dataclass(frozen=True)
@@ -260,21 +261,27 @@ def cauchy_bound(lam: float, p01: float, n: int) -> float:
 
 
 def certify_cauchy(trace: OrbitTrace, p: WDistance) -> CauchyCheck:
-    """Check p(x_n, x_m) <= u_n + CAUCHY_SLACK for every recorded index pair n < m."""
+    """Check p(x_n, x_m) <= u_n + CAUCHY_SLACK for every recorded index pair n < m.
+    The violations (n, m, p(x_n, x_m), u_n) come in row-major order, held as
+    arrays of n, m and p(x_n, x_m); each tuple is built when it is read."""
     pts = trace.points
     if not pts:
         raise PreconditionError("empty trace")
     count = len(pts)
     bound = np.asarray(trace.bound, dtype=float)
     index = np.arange(count)
-    violations = []
+    n, m, values = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
     for rows in row_blocks(count - 1, count):
         later = index[rows, None] < index[None, :]
-        values = p.matrix(pts[rows], pts, where=later)
-        for i, j in np.argwhere(later & (values > bound[rows, None] + CAUCHY_SLACK)):
-            n = rows.start + int(i)
-            violations.append((n, int(j), float(values[i, j]), float(bound[n])))
-    return CauchyCheck(not violations, tuple(violations))
+        block = p.matrix(pts[rows], pts, where=later)
+        i, j = np.nonzero(later & (block > bound[rows, None] + CAUCHY_SLACK))
+        n.append(i + rows.start)
+        m.append(j)
+        values.append(block[i, j])
+    n, m, values = (np.concatenate(a) for a in (n, m, values))
+    return CauchyCheck(not n.size, _Lazy(
+        n.size, lambda k: (int(n[k]), int(m[k]), float(values[k]), float(bound[n[k]]))
+    ))
 
 
 def certify_limit_uniqueness(

@@ -6,7 +6,8 @@ map to p(Tx, Ty) = 0 and are otherwise recorded on a separate violation
 channel, since 0/0 is a hypothesis question rather than a number.  Diagonal
 pairs are excluded by default because a pair distance may be positive at a
 fixed point, which pins the ratio at 1; callers are expected to disclose the
-diagonal-included estimate alongside.
+diagonal-included estimate alongside.  It and ``verify_theorem`` share one
+fold, which keeps the witnesses and zero-p violations as point indices.
 
 ``compare_classical`` measures the same map against the plain metric
 contraction and against the generalized displacement
@@ -70,7 +71,7 @@ class ContractionEstimate:
     witness_pair: tuple[Point, Point] | None
     pairs_checked: int
     zero_p_pairs: int
-    zero_p_violations: tuple[tuple[Point, Point], ...]
+    zero_p_violations: Sequence[tuple[Point, Point]]
     include_diagonal: bool
 
     @property
@@ -169,52 +170,52 @@ _SAME_POINT = Relation("same_point", points_equal, array=np.equal)
 
 
 class _WorstRatio:
-    """Running worst ratio p(Tx, Ty) / p(x, y) over chunks of pairs met in
-    order: the first maximum wins, and pairs with p(x, y) = 0 go to the
-    zero-p channel instead."""
+    """Running worst ratios p(Tx, Ty) / p(x, y) over blocks of pairs met in
+    order, without (entry 0) and with (entry 1) the diagonal: the first
+    maximum wins, and pairs with p(x, y) = 0 go to the zero-p channel
+    instead.  Witnesses and violations are kept as indices into ``points``."""
 
-    def __init__(self, include_diagonal: bool):
-        self.include_diagonal = include_diagonal
-        self.best = 0.0
-        self.witness: tuple[Point, Point] | None = None
-        self.checked = 0
-        self.zero_pairs = 0
-        self.violations: list[tuple[Point, Point]] = []
+    def __init__(self, points: Sequence[Point]):
+        self.points, self.violations = points, ([], [])
+        self.best, self.witness = [0.0, 0.0], [None, None]
+        self.checked, self.zero_pairs = [0, 0], [0, 0]
 
-    def add(
-        self, pair_at: Callable[[int], tuple[Point, Point]], ratios: np.ndarray, pairs: int,
-        zero: np.ndarray, moved: np.ndarray,
-    ) -> None:
-        """Fold in one chunk of ``pairs`` pairs: ``ratios``, ``zero`` and
-        ``moved`` as ``_ratios`` leaves them, and ``pair_at(k)`` the pair at
-        flat position k of these arrays."""
-        self.checked += pairs
-        self.zero_pairs += int(np.count_nonzero(zero))
-        self.violations += [pair_at(k) for k in np.flatnonzero(moved)]
+    def add(self, same: np.ndarray, base: np.ndarray, image: np.ndarray, index: Callable) -> None:
+        """Fold in one block: the same-point mask (first, so that it is made
+        before the larger blocks), p(x, y) and p(Tx, Ty), NaN off the block's
+        pairs, and ``index(k)``, the point indices (i, j) at flat positions k.
+        ``image`` is turned into the ratios."""
+        zero = base == 0.0
+        positive = base > 0.0
+        moved = zero & (image > 0.0)
+        np.divide(image, base, out=image, where=positive)
+        image[~positive] = -math.inf
+        self._fold(1, image, zero, positive, moved, index)
+        image[same] = -math.inf
+        for mask in (zero, positive, moved):
+            mask[same] = False
+        self._fold(0, image, zero, positive, moved, index)
+
+    def _fold(self, e: int, ratios, zero, positive, moved, index) -> None:
+        self.checked[e] += int(np.count_nonzero(zero) + np.count_nonzero(positive))
+        self.zero_pairs[e] += int(np.count_nonzero(zero))
+        self.violations[e].append(index(np.flatnonzero(moved)))
         worst = float(ratios.max(initial=-math.inf))
-        if worst > -math.inf and (self.witness is None or worst > self.best):
-            self.best, self.witness = worst, pair_at(int(np.argmax(ratios)))
+        if worst > -math.inf and (self.witness[e] is None or worst > self.best[e]):
+            self.best[e], self.witness[e] = worst, index(np.argmax(ratios))
 
-    def estimate(self) -> ContractionEstimate:
-        return ContractionEstimate(
-            self.best,
-            self.witness,
-            self.checked,
-            self.zero_pairs,
-            tuple(self.violations),
-            self.include_diagonal,
-        )
-
-
-def _ratios(base: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Turn ``image``, p(Tx, Ty), in place into p(Tx, Ty) / p(x, y) where p(x, y) > 0
-    and -inf elsewhere; returns the masks p(x, y) = 0 and p(x, y) = 0 < p(Tx, Ty)."""
-    zero = base == 0.0
-    moved = zero & (image > 0.0)
-    positive = base > 0.0
-    np.divide(image, base, out=image, where=positive)
-    image[~positive] = -math.inf
-    return zero, moved
+    def estimates(self) -> tuple[ContractionEstimate, ContractionEstimate]:
+        out = []
+        for e, blocks in enumerate(self.violations):
+            i, j = (np.concatenate(side) for side in zip(*blocks))
+            blocks.clear()  # frees the pieces before the next estimate's are joined
+            k = self.witness[e]
+            witness = None if k is None else (self.points[k[0]], self.points[k[1]])
+            out.append(ContractionEstimate(
+                self.best[e], witness, self.checked[e], self.zero_pairs[e],
+                _Pairs(self.points, i, j), e == 1,
+            ))
+        return out[0], out[1]
 
 
 def _index_pairs(
@@ -296,15 +297,13 @@ def estimate_lambda(
     points, i, j = _index_pairs(rel, pairs)
     if not i.size:
         raise EstimationError("cannot estimate a contraction factor from an empty pair set")
-    if not include_diagonal:
-        off = ~_SAME_POINT.at(points, points, i, j)
-        i, j = i[off], j[off]
     images = map_.apply_all(points)
-    ratios = p.at(images, images, i, j)
-    zero, moved = _ratios(p.at(points, points, i, j), ratios)
-    worst = _WorstRatio(include_diagonal)
-    worst.add(lambda k: (points[i[k]], points[j[k]]), ratios, i.size, zero, moved)
-    return worst.estimate()
+    worst = _WorstRatio(points)
+    worst.add(
+        _SAME_POINT.at(points, points, i, j), p.at(points, points, i, j),
+        p.at(images, images, i, j), lambda k: (i[k], j[k]),
+    )
+    return worst.estimates()[include_diagonal]
 
 
 def compare_classical(
@@ -362,28 +361,17 @@ def _sample_estimates(
     """
     m = len(sample)
     images = map_.apply_all(sample)
-    plain, with_diagonal = _WorstRatio(False), _WorstRatio(True)
-
-    def fold(rows: slice, related: np.ndarray) -> None:
-        # a function, so that a block's arrays are freed before the next one's
-        def pair_at(k: int):
-            i, j = divmod(int(k), m)
-            return sample[rows.start + i], sample[j]
-
-        pairs = int(np.count_nonzero(related))
-        diagonal = _SAME_POINT.matrix(sample[rows], sample, where=related)
-        ratios = p.matrix(images[rows], images, where=related)
-        zero, moved = _ratios(p.matrix(sample[rows], sample, where=related), ratios)
-        with_diagonal.add(pair_at, ratios, pairs, zero, moved)
-        ratios[diagonal] = -math.inf
-        zero[diagonal] = moved[diagonal] = False
-        plain.add(pair_at, ratios, pairs - int(np.count_nonzero(diagonal)), zero, moved)
-
+    worst = _WorstRatio(sample)
     for rows, related in _related_blocks(rel, sample):
-        fold(rows, related)
-    if not with_diagonal.checked:
+        worst.add(
+            _SAME_POINT.matrix(sample[rows], sample, where=related),
+            p.matrix(sample[rows], sample, where=related),
+            p.matrix(images[rows], images, where=related),
+            lambda k: (k // m + rows.start, k % m),
+        )
+    if not worst.checked[1]:
         raise EstimationError("cannot estimate a contraction factor from an empty pair set")
-    return plain.estimate(), with_diagonal.estimate()
+    return worst.estimates()
 
 
 def verify_theorem(

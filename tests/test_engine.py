@@ -255,6 +255,10 @@ class TestUniquenessProbe:
                 "decay held but candidates stay separated", id="decay-but-separated",
             ),
             pytest.param(
+                universal_relation(), WDistance.from_metric(), 1.0, [0.0, 1e-5],
+                "decay held but candidates stay separated", id="decay-but-separated-by-1e-5",
+            ),
+            pytest.param(
                 Relation.elementwise("ascending", lambda x, y: x <= y), WDistance.from_metric(),
                 1.0, [0.0], "contraction factor not below 1, condition 2 inapplicable",
                 id="factor-not-below-one",
@@ -306,6 +310,18 @@ class TestUniquenessProbe:
             universal_relation(), halve, WDistance.from_metric(), 0.25, [zero], [z], z_hint=z
         )
         assert result.verdict is verdict
+
+    def test_decay_is_checked_over_25_steps(self):
+        # from z = 1 the orbit halves down to 1/16 and stays there, so the
+        # 0.5^n decay fails at step 5 from the hint and at step 4 from the
+        # image 0.5; condition 2 then certifies the single candidate
+        halve = SelfMap.on_scalars("halve_down_to_1/16", lambda v: v / 2 if v > 1 / 16 else v)
+        result = probe_uniqueness(
+            universal_relation(), halve, WDistance.from_metric(), 0.5, [scalar(0.0)],
+            [scalar(1.0)], z_hint=scalar(1.0),
+        )
+        assert result.verdict is UniquenessVerdict.UNIQUE_BY_CONDITION_2
+        assert result.notes == ("no related z sustained the geometric decay",)
 
     def test_no_candidates_rejected(self):
         with pytest.raises(PreconditionError):

@@ -33,6 +33,7 @@ from relfix.fixtures import (
     product_shrink_fixture,
 )
 from relfix.fractional import FbvpProblem
+from relfix.spaces import ScalarSample
 from relfix.fixtures import constant_source
 
 
@@ -176,6 +177,13 @@ class TestSelfClosedWitness:
         seq = pts(*([1.5] * 8))
         witness = witness_d_self_closed(rel, seq, scalar(1.5))
         assert witness.ok and len(witness.indices) == 8
+
+    def test_tail_window_is_the_last_quarter(self):
+        seq = ScalarSample([0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0])
+        rel, limit = universal_relation(), scalar(1.0)
+        assert witness_d_self_closed(rel, seq, limit).tail_start == 6
+        report = check_rlsc(WDistance.from_metric(), scalar(0.0), rel, seq, limit)
+        assert report.detail["tail_window"] == 2
 
     def test_non_preserving_sequence_rejected(self):
         rel = ordered_halving_fixture().relation

@@ -413,6 +413,48 @@ def test_pairwise_scans_hold_no_m_by_m_array():
     assert 0 < kept["related"] <= verify.PAIR_CAP
 
 
+def traced_peak(fn):
+    """The result of ``fn()`` and the peak bytes tracemalloc saw during it."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_zero_p_violations_stay_index_arrays():
+    # p vanishes on every pair of 400 points of [0, 1] and on no pair of their
+    # images in [2, 3], so all 159,600 off-diagonal pairs are violations:
+    # 2.4 MiB of indices per estimate
+    sample = sample_space(interval_space(0.0, 1.0), step=1 / 399)
+    rel = universal_relation()
+    shift = SelfMap.elementwise("shift_by_two", lambda v: v + 2.0)
+    p = WDistance.elementwise("above_one", lambda x, y: np.maximum(y - 1.0, 0.0) + 0.0 * x)
+    pairs = related_pairs(rel, sample)
+    estimates = {
+        "sample": lambda: verify._sample_estimates(shift, p, rel, sample)[0],
+        "pairs": lambda: estimate_lambda(shift, p, rel, pairs),
+    }
+    for name, estimate in estimates.items():
+        est, peak = traced_peak(estimate)
+        assert len(est.zero_p_violations) == 159_600, name
+        assert est.zero_p_violations[0] == (sample[0], sample[1]), name
+        assert peak < 16 * 2**20, (name, peak)
+
+
+def test_cauchy_violations_stay_index_arrays():
+    # lambda = 0.01 understates the map's 0.999, so every pair n < m of the
+    # 1,001 orbit points but (0, 1) breaks its bound u_n
+    shrink = SelfMap.elementwise("shrink", lambda v: 0.999 * v)
+    p = WDistance.from_metric()
+    trace = iterate(shrink, scalar(1.0), p, 0.01, max_iter=1000)
+    check, peak = traced_peak(lambda: certify_cauchy(trace, p))
+    assert not check.ok and len(check.violations) == 500_499
+    assert check.violations[0] == (0, 2, 0.001998999999999973, 0.001010101010101011)
+    assert peak < 40 * 2**20, peak
+
+
 class PointBuilds:
     """Counts ``ScalarPoint`` constructions while installed."""
 

@@ -94,6 +94,21 @@ class TestEstimateLambda:
         assert len(est_bad.zero_p_violations) == 1
         assert not est_bad.is_contraction
 
+    def test_diagonal_zero_p_violation_counts_only_with_the_diagonal(self):
+        # p(x, y) = y vanishes on one related pair, (0, 0), and its image
+        # pair (0.5, 0.5) does not
+        sample = sample_space(interval_space(0.0, 1.0), step=0.25)
+        rel = Relation.elementwise("ascending", lambda x, y: x <= y)
+        shift = SelfMap.elementwise("shift_up", lambda v: v + 0.5)
+        p = WDistance.elementwise("second_coordinate", lambda x, y: y + 0.0 * x)
+        pairs = related_pairs(rel, sample)
+        scanned = relfix.verify._sample_estimates(shift, p, rel, sample)
+        for diagonal, want in ((False, ()), (True, (pair(0.0, 0.0),))):
+            for est in (scanned[diagonal], estimate_lambda(shift, p, rel, pairs, diagonal)):
+                assert est.include_diagonal is diagonal
+                assert est.zero_p_pairs == len(want)
+                assert est.zero_p_violations == want
+
     def test_diagonal_excluded_by_default(self):
         pairs = [pair(2.0, 2.0), pair(2.0, 1.0)]
         est = estimate_lambda(HALVING.map, HALVING.wdistance, HALVING.relation, pairs)

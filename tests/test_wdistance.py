@@ -27,6 +27,7 @@ from relfix.fixtures import (
     ordered_halving_fixture,
     product_shrink_fixture,
 )
+from relfix.spaces import ScalarSample
 from relfix.wdistance import LSC_SLACK
 
 
@@ -161,6 +162,15 @@ class TestRelationLsc:
             METRIC, scalar(0.0), universal_relation(), seq, scalar(2.0), conv_tol=4 * LSC_SLACK
         )
         assert report.ok == ok
+
+    @pytest.mark.parametrize("dip, ok", [(5e-10, True), (2e-9, False)])
+    def test_tail_dip_passes_only_inside_a_slack_of_1e9(self, dip, ok):
+        # p(x, y) = 1 at y = 1 and 1 - dip elsewhere: the tail window's
+        # first entry, 0.99, sits dip below the limit value
+        p = WDistance.elementwise("dip", lambda x, y: np.where(y == 1.0, 1.0, 1.0 - dip) + 0.0 * x)
+        seq = ScalarSample([0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0])
+        report = check_rlsc(p, scalar(0.0), universal_relation(), seq, scalar(1.0))
+        assert report.ok is ok
 
     def test_truncated_sequence_from_below_fails(self):
         # the tail sits under the limit value by its convergence gap, which
