@@ -169,8 +169,11 @@ class FixedPointCertificate:
 
 
 class CauchyCheck(NamedTuple):
-    ok: bool
     violations: Sequence[tuple[int, int, float, float]]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -263,7 +266,10 @@ def cauchy_bound(lam: float, p01: float, n: int) -> float:
 def certify_cauchy(trace: OrbitTrace, p: WDistance) -> CauchyCheck:
     """Check p(x_n, x_m) <= u_n + CAUCHY_SLACK for every recorded index pair n < m.
     The violations (n, m, p(x_n, x_m), u_n) come in row-major order, held as
-    arrays of n, m and p(x_n, x_m); each tuple is built when it is read."""
+    arrays of n, m and p(x_n, x_m); each tuple is built when it is read.
+    The bound u_n exists only for a ``lambda_used`` in [0, 1), the domain of
+    ``cauchy_bound``; any other raises ``PreconditionError``."""
+    check_real(trace.lambda_used, "contraction factor lambda", PreconditionError, 0.0, 1.0, "[)")
     pts = trace.points
     if not pts:
         raise PreconditionError("empty trace")
@@ -279,7 +285,7 @@ def certify_cauchy(trace: OrbitTrace, p: WDistance) -> CauchyCheck:
         m.append(j)
         values.append(block[i, j])
     n, m, values = (np.concatenate(a) for a in (n, m, values))
-    return CauchyCheck(not n.size, _Lazy(
+    return CauchyCheck(_Lazy(
         n.size, lambda k: (int(n[k]), int(m[k]), float(values[k]), float(bound[n[k]]))
     ))
 

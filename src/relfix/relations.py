@@ -1,10 +1,11 @@
 """Binary relations on points and sample-based closure checks.
 
 Universally quantified relation properties are decided on finite samples;
-every report records the size of the sample it was decided on, and a failing
-verdict always carries at least one concrete counterexample pair.  The
-infinite-tail condition behind ``witness_d_self_closed`` is proxied by the
-last ``TAIL_FRACTION`` of the supplied finite sequence.
+every report records the size of the sample it was decided on, and its
+verdict is read off its counterexample pairs, so a failing verdict always
+carries at least one.  The infinite-tail condition behind
+``witness_d_self_closed`` is proxied by the last ``TAIL_FRACTION`` of the
+supplied finite sequence.
 """
 
 from __future__ import annotations
@@ -64,6 +65,18 @@ class Verdict(Enum):
     FAILS_WITH_WITNESS = "fails_with_witness"
 
 
+class _Witnessed:
+    """A sample verdict read off ``witnesses``: it holds exactly when there are none."""
+
+    @property
+    def ok(self) -> bool:
+        return not self.witnesses
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.HOLDS_ON_SAMPLE if self.ok else Verdict.FAILS_WITH_WITNESS
+
+
 @dataclass(frozen=True)
 class Relation(_PairFunction):
     """A decidable predicate over ordered point pairs.
@@ -94,21 +107,12 @@ def universal_relation() -> Relation:
 
 
 @dataclass(frozen=True)
-class RelationReport:
+class RelationReport(_Witnessed):
     """Sample-relative verdict for one relation property."""
 
     prop: RelationProperty
-    verdict: Verdict
     witnesses: Sequence[tuple[Point, Point]]
     sample_size: int
-
-    def __post_init__(self) -> None:
-        if self.verdict is Verdict.FAILS_WITH_WITNESS and not self.witnesses:
-            raise PreconditionError("a failing verdict needs at least one witness pair")
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict is Verdict.HOLDS_ON_SAMPLE
 
     def to_record(self) -> dict:
         return {
@@ -166,9 +170,8 @@ def _check_closed(
 
     m = len(sample)
     bad = _pairs_in(sample, ((rows, 0, failing(rows)) for rows in row_blocks(m, m)))
-    verdict = Verdict.FAILS_WITH_WITNESS if bad else Verdict.HOLDS_ON_SAMPLE
     prop = RelationProperty.WEAK_T_CLOSED if either_order else RelationProperty.T_CLOSED
-    return RelationReport(prop, verdict, bad, len(sample))
+    return RelationReport(prop, bad, len(sample))
 
 
 def check_t_closed(rel: Relation, map_: "SelfMap", sample: Sequence[Point]) -> RelationReport:
@@ -206,8 +209,7 @@ def check_complete_on(rel: Relation, sample: Sequence[Point]) -> RelationReport:
 
     m = len(sample)
     bad = _pairs_in(sample, ((rows, rows.start, unrelated(rows)) for rows in row_blocks(m, m)))
-    verdict = Verdict.FAILS_WITH_WITNESS if bad else Verdict.HOLDS_ON_SAMPLE
-    return RelationReport(RelationProperty.COMPLETE, verdict, bad, len(sample))
+    return RelationReport(RelationProperty.COMPLETE, bad, len(sample))
 
 
 @dataclass(frozen=True)

@@ -361,15 +361,14 @@ def row_blocks(rows: int, width: int):
 
 
 class _Pairs(_Lazy):
-    """The pairs ``(points[i[k]], points[j[k]])``, held as index arrays;
-    ``relation``, when given, relates every one of them."""
+    """The pairs ``(points[i[k]], points[j[k]])``, held as index arrays."""
 
-    def __init__(self, points: Sequence[Point], i: np.ndarray, j: np.ndarray, relation=None):
+    def __init__(self, points: Sequence[Point], i: np.ndarray, j: np.ndarray):
         super().__init__(i.size, lambda k: (points[i[k]], points[j[k]]))
-        self.points, self.i, self.j, self.relation = points, i, j, relation
+        self.points, self.i, self.j = points, i, j
 
 
-def _pairs_in(points: Sequence[Point], blocks, relation=None) -> _Pairs:
+def _pairs_in(points: Sequence[Point], blocks) -> _Pairs:
     """The pairs of ``points``, in row-major order, at the True entries of a
     bool array met in order as ``(rows, left, mask)``: ``mask`` holds the
     entries of the rows ``rows`` from column ``left`` on, and the entries
@@ -386,7 +385,7 @@ def _pairs_in(points: Sequence[Point], blocks, relation=None) -> _Pairs:
     remap = np.cumsum(used) - 1
     i = remap[i]  # rebinding frees each old array before the next is copied
     j = remap[j]
-    return _Pairs(take(points, np.flatnonzero(used)), i, j, relation)
+    return _Pairs(take(points, np.flatnonzero(used)), i, j)
 
 
 def _assign(out: np.ndarray, value, name: str, rows=slice(None), where=None) -> None:

@@ -142,12 +142,22 @@ class TheoremReport:
     t_closed: bool
     continuity_or_self_closed: bool
     contraction: bool
-    overall: OverallVerdict
-    lambda_hat: float
     lambda_hat_with_diagonal: float
     estimate: ContractionEstimate
     orbit: OrbitTrace | None
     reasons: tuple[str, ...]
+
+    @property
+    def overall(self) -> OverallVerdict:
+        verdicts = (self.r_complete_proxy, self.start_points, self.t_closed,
+                    self.continuity_or_self_closed, self.contraction)
+        if all(verdicts):
+            return OverallVerdict.ALL_VERIFIED_ON_SAMPLE
+        return OverallVerdict.INCOMPLETE
+
+    @property
+    def lambda_hat(self) -> float:
+        return self.estimate.lambda_hat
 
     def to_record(self) -> dict:
         return {
@@ -224,13 +234,11 @@ def _index_pairs(
     """The pairs' distinct points and index arrays with
     ``pairs[k] == (points[i[k]], points[j[k]])``, all related under ``rel``.
 
-    Index-backed pairs give their own arrays, re-checked unless
-    ``related_pairs`` built them under ``rel``; any other sequence is hashed
-    into its distinct points in order of first appearance."""
+    Index-backed pairs give their own arrays; any other sequence is hashed
+    into its distinct points in order of first appearance.  Either way every
+    pair is checked against ``rel`` in one broadcast call."""
     if isinstance(pairs, _Pairs):
         points, i, j = pairs.points, pairs.i, pairs.j
-        if pairs.relation is rel:
-            return points, i, j
     else:
         index: dict[Point, int] = {}
         i, j = [], []
@@ -264,7 +272,8 @@ def related_pairs(rel: Relation, sample: Sequence[Point]) -> Sequence[tuple[Poin
 
     The pairs are a sequence of ``(x, y)`` tuples held as index arrays into
     the sample points that appear in some pair; ``estimate_lambda`` and
-    ``compare_classical`` read those arrays directly."""
+    ``compare_classical`` read those arrays directly, and check each pair
+    against their own relation as they do any pair set."""
     sample = as_sample(sample)
     m = len(sample)
     stride = 1
@@ -283,7 +292,7 @@ def related_pairs(rel: Relation, sample: Sequence[Point]) -> Sequence[tuple[Poin
                 del chosen
             yield rows, 0, related
 
-    return _pairs_in(sample, kept(), rel)
+    return _pairs_in(sample, kept())
 
 
 def estimate_lambda(
@@ -413,8 +422,7 @@ def verify_theorem(
         reasons.append(str(exc))
         empty = ContractionEstimate(math.inf, None, 0, 0, (), False)
         return TheoremReport(
-            False, start_ok, t_ok, False, False,
-            OverallVerdict.INCOMPLETE, math.inf, math.inf, empty, None, tuple(reasons),
+            False, start_ok, t_ok, False, False, math.inf, empty, None, tuple(reasons)
         )
 
     contraction_ok = estimate.is_contraction
@@ -446,20 +454,12 @@ def verify_theorem(
     else:
         reasons.append("orbit checks skipped without a verified contraction")
 
-    verdicts = (complete_ok, start_ok, t_ok, self_closed_ok, contraction_ok)
-    overall = (
-        OverallVerdict.ALL_VERIFIED_ON_SAMPLE
-        if all(verdicts)
-        else OverallVerdict.INCOMPLETE
-    )
     return TheoremReport(
         complete_ok,
         start_ok,
         t_ok,
         self_closed_ok,
         contraction_ok,
-        overall,
-        estimate.lambda_hat,
         estimate_diag.lambda_hat,
         estimate,
         orbit,

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError, check_count, check_real
-from .relations import Relation, Verdict, preserving_tail
+from .relations import Relation, _Witnessed, preserving_tail
 from .spaces import (
     MetricSpace,
     Point,
@@ -119,17 +119,12 @@ class SeparationRow:
 
 
 @dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Witnessed):
     axiom: Axiom
-    verdict: Verdict
     witnesses: tuple = ()
     table: tuple[SeparationRow, ...] = ()
     detail: dict = field(default_factory=dict)
     sample_size: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict is Verdict.HOLDS_ON_SAMPLE
 
     def to_record(self) -> dict:
         rec = {
@@ -188,10 +183,8 @@ def check_triangle(p: WDistance, sample: Sequence[Point]) -> AxiomReport:
                     sample[i], sample[j], sample[k], float(P[i, k]), float(P[i, j] + P[j, k])
                 )
             )
-    verdict = Verdict.FAILS_WITH_WITNESS if violations else Verdict.HOLDS_ON_SAMPLE
     return AxiomReport(
         Axiom.W1_TRIANGLE,
-        verdict,
         tuple(witnesses),
         detail={"triples": m**3, "violations": violations},
         sample_size=m,
@@ -220,12 +213,9 @@ def check_rlsc(
     worst_at = int(np.argmin(tail_values))
     tail_min = float(tail_values[worst_at])
     at_limit = p(anchor, limit)
-    ok = tail_min >= at_limit - LSC_SLACK
-    worst = tail[worst_at]
     return AxiomReport(
         Axiom.W2_RLSC,
-        Verdict.HOLDS_ON_SAMPLE if ok else Verdict.FAILS_WITH_WITNESS,
-        () if ok else ((worst, limit),),
+        () if tail_min >= at_limit - LSC_SLACK else ((tail[worst_at], limit),),
         detail={"tail_min": tail_min, "at_limit": at_limit, "tail_window": window},
         sample_size=len(seq),
     )
@@ -271,10 +261,8 @@ def check_w3(
             y = np.argmax(near[z] * far[x])
             witness = (sample[z], sample[x], sample[y], float(D[x, y]))
             rows.append(SeparationRow(eps, None, witness))
-    all_found = all(row.delta is not None for row in rows)
     return AxiomReport(
         Axiom.W3_SEPARATION,
-        Verdict.HOLDS_ON_SAMPLE if all_found else Verdict.FAILS_WITH_WITNESS,
         tuple(row.witness for row in rows if row.witness is not None),
         table=tuple(rows),
         sample_size=len(sample),

@@ -67,6 +67,15 @@ class TestIterate:
         assert trace.stop_reason is StopReason.DIVERGED
         assert all(math.isfinite(p.value) for p in trace.points)
 
+    def test_divergence_is_a_gap_beyond_1e8(self):
+        metric = WDistance.from_metric()
+        at_limit = SelfMap.elementwise("shift", lambda v: v + 1e8)
+        assert iterate(at_limit, scalar(0.0), metric, 0.5, max_iter=3).steps == 3
+        beyond = SelfMap.elementwise("shift", lambda v: v + 1.5e8)
+        with pytest.raises(DivergenceError, match="divergence threshold") as err:
+            iterate(beyond, scalar(0.0), metric, 0.5, max_iter=3)
+        assert err.value.trace.steps == 1
+
     def test_non_finite_image_raises_with_partial_trace(self):
         overflowing = SelfMap.on_scalars("overflowing", lambda v: v * 1e308 * 10)
         with pytest.raises(DivergenceError, match="left the finite range") as err:
@@ -156,6 +165,14 @@ class TestCertifyCauchy:
             0.5, StopReason.MAX_ITER,
         )
         assert certify_cauchy(trace, p).ok is ok
+
+
+    def test_no_certificate_without_a_contraction(self):
+        # at lambda = 1 every bound u_n is infinite, so no pair could violate it
+        grow = SelfMap.elementwise("grow", lambda v: 1.5 * v)
+        trace = iterate(grow, scalar(1.0), WDistance.from_metric(), 1.0, max_iter=5)
+        with pytest.raises(PreconditionError, match="lambda"):
+            certify_cauchy(trace, WDistance.from_metric())
 
 
 class TestLimitUniqueness:

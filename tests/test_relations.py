@@ -4,12 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relfix import (
+    Axiom,
+    AxiomReport,
+    ContractionEstimate,
     Grid,
+    OverallVerdict,
     PreconditionError,
     Relation,
     RelationProperty,
     RelationReport,
     SelfMap,
+    TheoremReport,
     Verdict,
     WDistance,
     check_complete_on,
@@ -106,15 +111,29 @@ class TestClosureChecks:
             lambda: check_t_closed(universal_relation(), SelfMap.identity(), []),
             id="empty-sample",
         ),
-        pytest.param(
-            lambda: RelationReport(RelationProperty.COMPLETE, Verdict.FAILS_WITH_WITNESS, [], 3),
-            id="failure-without-witness",
-        ),
     ],
 )
 def test_unchecked_or_unwitnessed_claim_rejected(call):
     with pytest.raises(PreconditionError):
         call()
+
+
+def test_verdicts_are_read_off_their_evidence():
+    witness = (scalar(1.0), scalar(2.0))
+    for report in (RelationReport(RelationProperty.COMPLETE, [], 3), AxiomReport(Axiom.W2_RLSC)):
+        assert report.verdict is Verdict.HOLDS_ON_SAMPLE and report.ok
+    for report in (
+        RelationReport(RelationProperty.COMPLETE, [witness], 3),
+        AxiomReport(Axiom.W2_RLSC, (witness,)),
+    ):
+        assert report.verdict is Verdict.FAILS_WITH_WITNESS and not report.ok
+    estimate = ContractionEstimate(0.4, witness, 1, 0, (), False)
+    for failing in [None, *range(5)]:
+        report = TheoremReport(*(k != failing for k in range(5)), 0.5, estimate, None, ())
+        assert report.overall is (
+            OverallVerdict.ALL_VERIFIED_ON_SAMPLE if failing is None else OverallVerdict.INCOMPLETE
+        )
+        assert report.lambda_hat == 0.4  # the estimate's, not the diagonal one
 
 
 class TestStartPoints:

@@ -338,6 +338,24 @@ class TestDistinctPoints:
             HALVING.map, HALVING.space, HALVING.relation, pairs
         )
 
+    def test_every_pair_set_is_rechecked_once_per_pair(self):
+        calls = []
+
+        def at_most(x, y):
+            calls.append((x, y))
+            return x <= y
+
+        rel = Relation.on_scalars("at_most", at_most)
+        pairs = related_pairs(rel, [scalar(v) for v in (0.5, 1.0, 1.5, 2.0)])
+        assert len(pairs) == 10
+        for check in (
+            lambda: estimate_lambda(SHRINK.map, SHRINK.wdistance, rel, pairs),
+            lambda: compare_classical(SHRINK.map, SHRINK.space, rel, pairs),
+        ):
+            calls.clear()
+            check()
+            assert sorted(calls) == sorted((x.value, y.value) for x, y in pairs)
+
     def test_point_moves_measured_once_per_distinct_point(self, monkeypatch):
         # grid functions take the per-pair path, one metric call per distance
         grid = Grid(4)
