@@ -3,8 +3,9 @@
 Only this module writes files.  A run writes ``report.json`` first (keys
 sorted, no timestamps, so reruns with identical configuration are
 byte-identical), then its tables: ``solution.csv`` for a solve, and
-``orbit.csv`` for a run that iterated.  Exit status 0 means every asserted
-check in the report passed; advisories are recorded but never affect status.
+``orbit.csv`` for a run that iterated.  The report is the ASCII text of
+``json.dumps(record, sort_keys=True, indent=2)``.  Exit status 0 means every
+asserted check passed; advisories are recorded but never affect status.
 """
 
 from __future__ import annotations
@@ -66,14 +67,58 @@ def _read_text(path: Path, missing: str) -> str:
 
 
 def _write_file(path: Path, chunks) -> None:
-    """Write the text ``chunks`` over the bytes ``path`` holds, then cut it
-    to their length.  The file is never truncated to zero first: a rerun
-    that writes the same bytes then frees and reallocates none of its blocks,
-    which on ext4 costs more than the write itself."""
+    """Write the ASCII text ``chunks`` as bytes over those ``path`` holds, then
+    cut it to their length.  The file is never truncated to zero first: a
+    rerun that writes the same bytes then frees and reallocates none of its
+    blocks, which on ext4 costs more than the write itself."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "w", newline="") as fh:
-        fh.writelines(chunks)
+    with open(fd, "wb") as fh:
+        fh.writelines(chunk.encode() for chunk in chunks)
         fh.truncate()
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(record) -> str:
+    """``json.dumps(record, sort_keys=True, indent=2)`` (``TypeError`` also on
+    non-str keys), built in one list and with no closure: the standard
+    encoder's closures leave each text in a reference cycle."""
+    parts: list[str] = []
+    _encode(record, parts.append, "\n")
+    return "".join(parts)
+
+
+def _encode(o, append, newline: str) -> None:
+    """Append the JSON text of ``o`` at the indent that ``newline`` ends with."""
+    if isinstance(o, str):
+        append(_encode_str(o))
+    elif o is None or o is True or o is False:
+        append("null" if o is None else "true" if o else "false")
+    elif isinstance(o, int):
+        append(int.__repr__(o))
+    elif isinstance(o, float):
+        text = float.__repr__(o)
+        append(_NONFINITE.get(text, text))
+    elif isinstance(o, (list, tuple)):
+        inner = newline + "  "
+        head = "[" + inner
+        for item in o:
+            append(head)
+            _encode(item, append, inner)
+            head = "," + inner
+        append(newline + "]" if o else "[]")
+    elif isinstance(o, dict):
+        inner = newline + "  "
+        head = "{" + inner
+        for key in sorted(o):
+            append(head + _encode_str(key) + ": ")  # TypeError unless a str
+            _encode(o[key], append, inner)
+            head = "," + inner
+        append(newline + "}" if o else "{}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _write_table(path: Path, header: str, row, columns, last: str = "") -> None:
@@ -110,7 +155,7 @@ def _end_run(out_dir: Path, record: dict, checks: dict, advisories: list, tables
     record.update(checks=checks, advisories=advisories)
     record["summary"] = {"all_pass": not failed, "check_count": len(checks), "failed": failed}
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_file(out_dir / REPORT_NAME, (json.dumps(record, sort_keys=True, indent=2), "\n"))
+    _write_file(out_dir / REPORT_NAME, (_json_text(record), "\n"))
     for name, table in tables.items():
         _write_table(out_dir / name, *table)
     return STATUS_OK if not failed else STATUS_CHECK_FAILED

@@ -353,6 +353,15 @@ def _geometric_decay_holds(
     return True
 
 
+def _first_of_each(pool: Sequence[Point], index: np.ndarray) -> list[int]:
+    """``index`` in order, less each entry whose point in a ``ScalarSample``
+    ``pool`` equals an earlier one's bit for bit (-0.0 is not 0.0)."""
+    if isinstance(pool, ScalarSample):
+        _, first = np.unique(pool.values[index].view(np.int64), return_index=True)
+        index = index[np.sort(first)]
+    return index.tolist()
+
+
 def probe_uniqueness(
     rel: Relation,
     map_: SelfMap,
@@ -367,9 +376,10 @@ def probe_uniqueness(
 
     Each candidate's residual must be within ``default_tolerance``.
     Condition 1 looks for a point z related to every candidate (a caller
-    hint is tried first, then images of the sample) and verifies the
-    lambda^n decay of p(T^n z, c) over ``PROBE_STEPS`` steps; condition 2
-    checks completeness of the relation on the image sample and that the
+    hint is tried first, then images of the sample in order, each scalar
+    image once, as the test depends on z alone) and verifies the lambda^n
+    decay of p(T^n z, c) over ``PROBE_STEPS`` steps; condition 2 checks
+    completeness of the relation on the image sample and that the
     contraction forces the pair distance between distinct candidates to
     vanish.  Both allow ``default_tolerance`` of the first candidate on
     their inequalities.  Candidates farther apart than
@@ -403,7 +413,7 @@ def probe_uniqueness(
     ancestors = (  # the hint first, then the images; points built only when reached
         pool[k]
         for pool in ([z_hint] if z_hint is not None else [], images)
-        for k in np.flatnonzero(rel.matrix(pool, candidates).all(axis=1)).tolist()
+        for k in _first_of_each(pool, np.flatnonzero(rel.matrix(pool, candidates).all(axis=1)))
     )
     found_related_z = False
     for z in ancestors:

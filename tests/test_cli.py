@@ -2,7 +2,11 @@
 
 import argparse
 import csv
+import enum
+import gc
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +21,7 @@ from relfix.cli import (
     STATUS_CHECK_FAILED,
     STATUS_OK,
     STATUS_USAGE,
+    _json_text,
     _orbit_table,
     _solution_table,
     _write_table,
@@ -41,6 +46,9 @@ tol = 1e-8
 max_iter = 200
 variant = paper_exact
 """
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, text=GOOD_CONFIG, name="problem.cfg"):
@@ -564,3 +572,69 @@ class TestRerunIntoTheSameOut:
         # every run file goes through os.open, and none is truncated to zero
         assert sorted(name for name, _ in opened) == sorted(2 * list(after))
         assert not any(flags & os.O_TRUNC for _, flags in opened)
+
+
+def _snapshot_tool():
+    spec = importlib.util.spec_from_file_location(
+        "snapshot_outputs", ROOT / "tools" / "snapshot_outputs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class TestReportEncoder:
+    """``_json_text`` writes what ``json.dumps(sort_keys=True, indent=2)``
+    writes, and leaves no reference cycle behind."""
+
+    @staticmethod
+    def _dumps(value) -> str:
+        return json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.filterwarnings("ignore::relfix.errors.ContractionWarning")
+    def test_every_snapshot_report_matches_json_dumps(self, tmp_path):
+        tool = _snapshot_tool()
+        tool.snapshot(tmp_path)
+        reports = sorted(tmp_path.rglob("report.json"))
+        assert len(reports) == len(list(tool.cases()))
+        for path in reports:
+            record = json.loads(path.read_bytes())
+            assert _json_text(record) == self._dumps(record), path
+            assert path.read_bytes() == (_json_text(record) + "\n").encode()
+
+    EDGES = [
+        math.nan, math.inf, -math.inf, -0.0, 0.1, 1e16, 1e-7, 5e-324, 2**70,
+        True, False, None, "", "\u00e9\n\"\\\x01", np.float64(0.75), _Level.LOW,
+        (), [], {}, [[], {}, ()], {"a": {}, "b": [[]]}, ({"b": 1, "a": [2.5]}, {"c": None}),
+    ]
+
+    @pytest.mark.parametrize("value", EDGES, ids=repr)
+    def test_edge_values_match_json_dumps(self, value):
+        assert _json_text(value) == self._dumps(value)
+        record = {"z": value, "a": [value, {"k": value}], "m": (value,)}
+        assert _json_text(record) == self._dumps(record)
+
+    @pytest.mark.parametrize(
+        "value", [np.int64(1), np.bool_(True), {1: 2}, set()], ids=repr
+    )
+    def test_values_json_cannot_hold_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value)
+        with pytest.raises(TypeError):
+            _json_text({"checks": [value]})
+
+    def test_encoding_a_report_leaves_no_reference_cycle(self, tmp_path):
+        assert main(["verify-example", "Ex2_4", "--out", str(tmp_path)]) == STATUS_OK
+        record = json.loads((tmp_path / "report.json").read_text())
+        gc.collect()
+        gc.disable()
+        try:
+            text = _json_text(record)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert text == self._dumps(record)

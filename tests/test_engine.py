@@ -365,6 +365,59 @@ class TestUniquenessProbe:
         assert result.verdict is UniquenessVerdict.PROBE_FAILED
 
 
+class TestProbeTriesEachDistinctAncestorOnce:
+    """The decay test depends on z alone, so a scalar image equal bit for
+    bit to one already tried is not tried again."""
+
+    @staticmethod
+    def _counted(map_: SelfMap, calls: list) -> SelfMap:
+        # the same map with its array form; each single-point apply is counted
+        return SelfMap(map_.name, lambda pt: calls.append(pt) or map_.apply(pt), map_.array)
+
+    def test_equal_images_are_tried_once(self):
+        # every sampled x >= 2 maps to 2, so the 20 related images are one z;
+        # the map runs once for the candidate's residual and once for z,
+        # whose decay fails at the first step
+        sample = sample_space(HALVING.space, step=0.05)
+        calls = []
+        args = (HALVING.relation, self._counted(HALVING.map, calls), HALVING.wdistance, 0.9756)
+        result = probe_uniqueness(*args, [scalar(2.0)], sample)
+        assert len(calls) == 2
+        # a map without an array form maps to a list, which the probe tries whole
+        listed = SelfMap.on_scalars("capped_halving", lambda v: v / 2.0 if v < 2.0 else 2.0)
+        assert listed.apply_all(sample) == HALVING.map.apply_all(sample)
+        plain = probe_uniqueness(
+            HALVING.relation, listed, HALVING.wdistance, 0.9756, [scalar(2.0)], sample
+        )
+        assert (result.verdict, result.z, result.notes) == (plain.verdict, plain.z, plain.notes)
+        assert result.verdict is UniquenessVerdict.UNIQUE_BY_CONDITION_2
+
+    def test_the_earliest_passing_image_in_sample_order_is_reported(self):
+        # both images decay at the halving rate; 1.5 comes first in the
+        # sample, though 0.5 sorts first by value
+        halve = SelfMap.elementwise("halve", lambda v: 0.5 * v)
+        sample = [scalar(3.0), scalar(1.0), scalar(3.0)]
+        result = probe_uniqueness(
+            universal_relation(), halve, WDistance.from_metric(), 0.5, [scalar(0.0)], sample
+        )
+        assert result.verdict is UniquenessVerdict.UNIQUE_BY_CONDITION_1
+        assert result.z == scalar(1.5)
+
+    def test_negative_and_positive_zero_are_both_tried(self):
+        # images -0.0 and 0.0 of the map v -> 0 * v; a pair distance that
+        # charges 1 for a sign change fails the decay from -0.0 and holds it
+        # from 0.0, which is reported
+        zero = SelfMap.elementwise("zero", lambda v: 0.0 * v)
+        signed = WDistance.elementwise(
+            "signed", lambda x, y: np.abs(x - y) + (np.signbit(x) != np.signbit(y))
+        )
+        result = probe_uniqueness(
+            universal_relation(), zero, signed, 0.5, [scalar(0.0)], [scalar(-1.0), scalar(1.0)]
+        )
+        assert result.verdict is UniquenessVerdict.UNIQUE_BY_CONDITION_1
+        assert math.copysign(1.0, result.z.value) == 1.0 and result.z.value == 0.0
+
+
 class TestSelfMapForms:
     def test_grid_map_through_apply_and_apply_all(self):
         grid = Grid(4)

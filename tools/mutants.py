@@ -45,7 +45,7 @@ class Outcome(NamedTuple):
 
 ENGINE, VERIFY = "src/relfix/engine.py", "src/relfix/verify.py"
 RELATIONS, WDIST = "src/relfix/relations.py", "src/relfix/wdistance.py"
-FRACTIONAL = "src/relfix/fractional.py"
+FRACTIONAL, CLI = "src/relfix/fractional.py", "src/relfix/cli.py"
 
 MUTANTS = (
     Mutant(ENGINE, "bound[rows, None] + CAUCHY_SLACK", "bound[rows, None] + 1e-3",
@@ -84,6 +84,10 @@ MUTANTS = (
            "the theorem needs all five hypotheses"),
     Mutant(ENGINE, 'PreconditionError, 0.0, 1.0, "[)")', 'PreconditionError, 0.0, 1.0, "[]")',
            "at lambda = 1 every Cauchy bound is infinite, so nothing is certified"),
+    Mutant(CLI, "for key in sorted(o):", "for key in o:",
+           "report.json is json.dumps with sort_keys, so its keys are sorted"),
+    Mutant(ENGINE, "index[np.sort(first)]", "index[first]",
+           "ancestors are tried in sample order, not in order of their bits"),
 )
 
 
