@@ -34,7 +34,7 @@ from .relations import (
     universal_relation,
 )
 from .spaces import Grid, ScalarPoint, ScalarSample, point_distance, sample_space, scalar
-from .verify import _sample_estimates, compare_classical, related_pairs, verify_theorem
+from .verify import _classical_failure_counts, _sample_estimates, compare_classical, verify_theorem
 from .wdistance import WDistance, check_rlsc, check_triangle, check_w3
 
 __all__ = ["main", "console"]
@@ -170,11 +170,10 @@ def _coarse(sample):
 # verify-example batteries
 
 
-def _start_and_axiom_checks(fx: Fixture, sample, checks):
-    """Start points on the sample, and the triangle and separation axioms of
-    the fixture's pair distance on a coarsened copy of it."""
-    starts = find_start_points(fx.relation, fx.map, sample)
-    checks["start_points_nonempty"] = {"pass": bool(starts), "count": len(starts)}
+def _start_and_axiom_checks(fx: Fixture, sample, checks, start_count: int):
+    """The count of start points on the sample, and the triangle and
+    separation axioms of the fixture's pair distance on a coarsened copy of it."""
+    checks["start_points_nonempty"] = {"pass": start_count > 0, "count": start_count}
 
     coarse = _coarse(sample)
     tri = check_triangle(fx.wdistance, coarse)
@@ -277,18 +276,11 @@ def _battery_ordered_halving(fx: Fixture, sample, checks, advisories):
         "pass": complete.ok,
         "observed": complete.verdict.value,
     }
-    _start_and_axiom_checks(fx, sample, checks)
+    _start_and_axiom_checks(fx, sample, checks, len(find_start_points(fx.relation, fx.map, sample)))
 
-    pairs = related_pairs(fx.relation, sample)
-    comparison = compare_classical(fx.map, fx.space, fx.relation, pairs)
-    checks["plain_metric_contraction_fails"] = {
-        "pass": len(comparison.banach_failures) > 0,
-        "failure_count": len(comparison.banach_failures),
-    }
-    checks["displacement_contraction_fails"] = {
-        "pass": len(comparison.mt_failures) > 0,
-        "failure_count": len(comparison.mt_failures),
-    }
+    banach, mt = _classical_failure_counts(fx.map, fx.relation, sample)
+    checks["plain_metric_contraction_fails"] = {"pass": banach > 0, "failure_count": banach}
+    checks["displacement_contraction_fails"] = {"pass": mt > 0, "failure_count": mt}
     est, est_diag = _sample_estimates(fx.map, fx.wdistance, fx.relation, sample)
     checks["pair_distance_contraction_on_sample"] = {
         "pass": est.is_contraction,
@@ -325,11 +317,10 @@ def _battery_ordered_halving(fx: Fixture, sample, checks, advisories):
 
 
 def _battery_product_shrink(fx: Fixture, sample, checks, advisories):
-    _start_and_axiom_checks(fx, sample, checks)
-
     report = verify_theorem(
         fx.map, fx.space, fx.relation, fx.wdistance, sample, scalar(1.0)
     )
+    _start_and_axiom_checks(fx, sample, checks, report.start_count)
     checks["theorem_hypotheses_verified"] = {
         "pass": report.overall.value == "all_verified_on_sample"
         and abs(report.lambda_hat - fx.lambda_hint) <= 1e-12,

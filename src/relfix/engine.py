@@ -11,6 +11,7 @@ or an estimate from sampling; the engine never invents one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -341,16 +342,25 @@ def _geometric_decay_holds(
     candidates: list[Point],
     tol: float,
 ) -> bool:
+    """Whether p(T^n z, c) <= lam^n p(z, c) + tol for every candidate c and
+    n <= ``PROBE_STEPS``.  Once T returns its point bit for bit the orbit
+    stays there, so the steps left are checked against the same p values."""
     base = [p(z, c) for c in candidates]
-    zn = z
+    gaps, moving = base, True
     for n in range(PROBE_STEPS + 1):
-        factor = lam**n
-        for c, p0 in zip(candidates, base):
-            if p(zn, c) > factor * p0 + tol:
-                return False
-        if n < PROBE_STEPS:
-            zn = map_.apply(zn)
+        if any(gap > lam**n * p0 + tol for gap, p0 in zip(gaps, base)):
+            return False
+        if moving and n < PROBE_STEPS:
+            image = map_.apply(z)
+            if moving := not _same_bits(image, z):
+                z, gaps = image, [p(image, c) for c in candidates]
     return True
+
+
+def _same_bits(x: Point, y: Point) -> bool:
+    """Of one kind and equal bit for bit (-0.0 is not 0.0)."""
+    x, y = (np.asarray(pt.values if isinstance(pt, GridFn) else pt.value) for pt in (x, y))
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def _first_of_each(pool: Sequence[Point], index: np.ndarray) -> list[int]:
@@ -376,10 +386,11 @@ def probe_uniqueness(
 
     Each candidate's residual must be within ``default_tolerance``.
     Condition 1 looks for a point z related to every candidate (a caller
-    hint is tried first, then images of the sample in order, each scalar
-    image once, as the test depends on z alone) and verifies the lambda^n
-    decay of p(T^n z, c) over ``PROBE_STEPS`` steps; condition 2 checks
-    completeness of the relation on the image sample and that the
+    hint is tried first, before the sample is mapped, then images of the
+    sample in order, each scalar image once, as the test depends on z alone)
+    and verifies the lambda^n decay of p(T^n z, c) over ``PROBE_STEPS``
+    steps, mapping the orbit only until T fixes it bit for bit; condition 2
+    checks completeness of the relation on the image sample and that the
     contraction forces the pair distance between distinct candidates to
     vanish.  Both allow ``default_tolerance`` of the first candidate on
     their inequalities.  Candidates farther apart than
@@ -409,60 +420,62 @@ def probe_uniqueness(
 
     # Condition 1: a common relation ancestor with geometrically decaying
     # pair distance to every candidate.
-    images = map_.apply_all(sample)
-    ancestors = (  # the hint first, then the images; points built only when reached
+    mapped = functools.cache(lambda: map_.apply_all(sample))
+
+    def pools():  # the hint first, then the images, mapped only when reached
+        yield [] if z_hint is None else [z_hint]
+        yield mapped()
+
+    ancestors = (  # points built only when reached
         pool[k]
-        for pool in ([z_hint] if z_hint is not None else [], images)
+        for pool in pools()
         for k in _first_of_each(pool, np.flatnonzero(rel.matrix(pool, candidates).all(axis=1)))
     )
-    found_related_z = False
+    z = None
     for z in ancestors:
-        found_related_z = True
         if _geometric_decay_holds(map_, p, lam, z, candidates, tol):
-            if separated:
-                notes.append("decay held but candidates stay separated")
-                break
-            return ProbeResult(UniquenessVerdict.UNIQUE_BY_CONDITION_1, z, tuple(notes))
-    if found_related_z and not notes:
-        notes.append("no related z sustained the geometric decay")
-    elif not found_related_z:
-        notes.append("no sampled image is related to every candidate")
+            if not separated:
+                return ProbeResult(UniquenessVerdict.UNIQUE_BY_CONDITION_1, z)
+            notes.append("decay held but candidates stay separated")
+            break
+    else:
+        notes.append(
+            "no sampled image is related to every candidate" if z is None
+            else "no related z sustained the geometric decay"
+        )
 
     # Condition 2: relation complete on the image sample and the contraction
     # collapses every distinct candidate pair.
-    completeness = check_complete_on(rel, images) if images else None
-    if completeness is not None and completeness.ok:
-        if lam >= 1.0:
-            notes.append("contraction factor not below 1, condition 2 inapplicable")
-        else:
-            collapse_ok = True
-            for i, a in enumerate(candidates):
-                for b in candidates[i + 1 :]:
-                    if points_equal(a, b):
-                        continue
-                    if rel(a, b):
-                        first, second = a, b
-                    elif rel(b, a):
-                        first, second = b, a
-                    else:
-                        collapse_ok = False
-                        notes.append("candidate pair unrelated in both orders")
-                        break
-                    pv = p(first, second)
-                    contracted = p(map_.apply(first), map_.apply(second))
-                    if contracted > lam * pv + tol:
-                        collapse_ok = False
-                        notes.append("contraction fails on a candidate pair")
-                        break
-                    if pv > tol / (1.0 - lam) or point_distance(a, b) > CANDIDATE_SEPARATION:
-                        collapse_ok = False
-                        notes.append("candidate pair distance did not collapse")
-                        break
-                if not collapse_ok:
-                    break
-            if collapse_ok:
-                return ProbeResult(UniquenessVerdict.UNIQUE_BY_CONDITION_2, None, tuple(notes))
-    elif completeness is not None:
+    images = mapped()
+    if images and not check_complete_on(rel, images).ok:
         notes.append("relation is not complete on the image sample")
-
+    elif images:
+        failure = (
+            "contraction factor not below 1, condition 2 inapplicable" if lam >= 1.0
+            else _collapse_failure(rel, map_, p, lam, tol, candidates)
+        )
+        if failure is None:
+            return ProbeResult(UniquenessVerdict.UNIQUE_BY_CONDITION_2, None, tuple(notes))
+        notes.append(failure)
     return ProbeResult(UniquenessVerdict.PROBE_FAILED, None, tuple(notes))
+
+
+def _collapse_failure(rel, map_, p, lam: float, tol: float, candidates) -> str | None:
+    """Why condition 2 fails on the first distinct candidate pair it fails on,
+    or None when the contraction collapses every one of them."""
+    for i, a in enumerate(candidates):
+        for b in candidates[i + 1 :]:
+            if points_equal(a, b):
+                continue
+            if rel(a, b):
+                first, second = a, b
+            elif rel(b, a):
+                first, second = b, a
+            else:
+                return "candidate pair unrelated in both orders"
+            pv = p(first, second)
+            if p(map_.apply(first), map_.apply(second)) > lam * pv + tol:
+                return "contraction fails on a candidate pair"
+            if pv > tol / (1.0 - lam) or point_distance(a, b) > CANDIDATE_SEPARATION:
+                return "candidate pair distance did not collapse"
+    return None

@@ -57,7 +57,7 @@ from numpy.fft import irfft, rfft
 from .engine import OrbitTrace, SelfMap, iterate
 from .errors import ContractionWarning, DomainError, PreconditionError, ShapeError
 from .errors import check_count, check_real
-from .spaces import Grid, GridFn, zero_grid_fn
+from .spaces import Grid, GridFn, _assign, zero_grid_fn
 from .wdistance import WDistance
 
 __all__ = [
@@ -292,9 +292,9 @@ class FbvpProblem:
     """Integral-operator form of the order-beta boundary-value problem.
 
     ``f`` must accept floats or numpy arrays elementwise.  ``L`` is the
-    declared Lipschitz constant of f in its second argument; nonnegativity
-    and the Lipschitz bound are spot-checked on a small sample of (t, x)
-    values at construction time.
+    declared Lipschitz constant of f in its second argument; finiteness,
+    nonnegativity and the Lipschitz bound are spot-checked at construction
+    time, in one call of f on equal-length arrays of 12 (t, x) pairs.
     """
 
     beta: float
@@ -310,11 +310,14 @@ class FbvpProblem:
             raise ShapeError(f"grid must be a Grid, got {type(self.grid).__name__}")
         check_count(self.grid.n, "grid subinterval count", DomainError, 3)
         check_real(self.L, "Lipschitz constant", DomainError)
-        for t in _F_SPOT_T:
-            for xv in _F_SPOT_X:
-                check_real(float(self.f(t, xv)), f"f({t}, {xv})", DomainError)
-            for xa, xb in zip(_F_SPOT_X, _F_SPOT_X[1:]):
-                gap = abs(float(self.f(t, xa)) - float(self.f(t, xb)))
+        values = np.empty(len(_F_SPOT_T) * len(_F_SPOT_X))  # one call of f on all pairs
+        spots = np.repeat(_F_SPOT_T, len(_F_SPOT_X)), np.array(_F_SPOT_X * len(_F_SPOT_T))
+        _assign(values, self.f(*spots), "f")
+        for t, row in zip(_F_SPOT_T, values.reshape(len(_F_SPOT_T), -1).tolist()):
+            for xv, fv in zip(_F_SPOT_X, row):
+                check_real(fv, f"f({t}, {xv})", DomainError)
+            for xa, xb, fa, fb in zip(_F_SPOT_X, _F_SPOT_X[1:], row, row[1:]):
+                gap = abs(fa - fb)
                 if gap > self.L * abs(xa - xb) * (1.0 + 1e-9) + 1e-12:
                     raise DomainError(
                         f"f violates the declared Lipschitz bound at t = {t}: "

@@ -12,7 +12,8 @@ fold, which keeps the witnesses and zero-p violations as point indices.
 ``compare_classical`` measures the same map against the plain metric
 contraction and against the generalized displacement
 M(x, y) = max{d(x,y), d(x,Tx), d(y,Ty), (d(x,Ty) + d(y,Tx)) / 2}, recording
-every pair on which either comparison test fails.
+every pair on which either comparison test fails; ``_classical_failure_counts``
+counts the failures of both tests over every related pair of a sample.
 """
 
 from __future__ import annotations
@@ -59,11 +60,6 @@ __all__ = [
     "compare_classical",
     "verify_theorem",
 ]
-
-# Most related pairs ``related_pairs`` returns; past it they are strided down.
-# The contraction estimates of ``verify_theorem`` read every related pair.
-PAIR_CAP = 1_000_000
-
 
 @dataclass(frozen=True)
 class ContractionEstimate:
@@ -138,7 +134,7 @@ class TheoremReport:
     """Per-hypothesis verdicts for the contraction fixed-point theorem."""
 
     r_complete_proxy: bool
-    start_points: bool
+    start_count: int
     t_closed: bool
     continuity_or_self_closed: bool
     contraction: bool
@@ -146,6 +142,10 @@ class TheoremReport:
     estimate: ContractionEstimate
     orbit: OrbitTrace | None
     reasons: tuple[str, ...]
+
+    @property
+    def start_points(self) -> bool:
+        return self.start_count > 0
 
     @property
     def overall(self) -> OverallVerdict:
@@ -265,34 +265,14 @@ def _related_blocks(rel: Relation, sample: Sequence[Point]):
 
 
 def related_pairs(rel: Relation, sample: Sequence[Point]) -> Sequence[tuple[Point, Point]]:
-    """All related ordered pairs from sample x sample; past ``PAIR_CAP`` of
-    them, every k-th one in row-major order, k the least stride that keeps
-    at most ``PAIR_CAP``.  Only when m^2 exceeds ``PAIR_CAP`` are the pairs
-    counted first, in a pass of their own.
+    """All related ordered pairs from sample x sample, in row-major order.
 
     The pairs are a sequence of ``(x, y)`` tuples held as index arrays into
     the sample points that appear in some pair; ``estimate_lambda`` and
     ``compare_classical`` read those arrays directly, and check each pair
     against their own relation as they do any pair set."""
     sample = as_sample(sample)
-    m = len(sample)
-    stride = 1
-    if m * m > PAIR_CAP:
-        total = sum(int(np.count_nonzero(related)) for _, related in _related_blocks(rel, sample))
-        stride = max(1, math.ceil(total / PAIR_CAP))
-
-    def kept():
-        seen = 0
-        for rows, related in _related_blocks(rel, sample):
-            if stride > 1:
-                chosen = np.flatnonzero(related)
-                related[:] = False
-                related.flat[chosen[-seen % stride :: stride]] = True
-                seen += chosen.size
-                del chosen
-            yield rows, 0, related
-
-    return _pairs_in(sample, kept())
+    return _pairs_in(sample, ((rows, 0, related) for rows, related in _related_blocks(rel, sample)))
 
 
 def estimate_lambda(
@@ -333,11 +313,10 @@ def compare_classical(
     check_space(space, points)
     images = map_.apply_all(points)
     d = WDistance.from_metric()
-    d_image = d.at(images, images, i, j)
-    d_pair = d.at(points, points, i, j)
-    d_cross = 0.5 * (d.at(points, images, i, j) + d.at(points, images, j, i))
     d_to_image = d.at(points, images, range(len(points)), range(len(points)))
-    displacement = np.maximum.reduce([d_pair, d_to_image[i], d_to_image[j], d_cross])
+    d_image, d_pair, displacement, banach, mt = _classical_tests(
+        lambda xs, ys: d.at(xs, ys, i, j), points, images, d_to_image[i], d_to_image[j]
+    )
 
     def row(k: int) -> PairComparison:
         return PairComparison(
@@ -345,14 +324,45 @@ def compare_classical(
             float(d_image[k]), float(d_pair[k]), float(displacement[k]),
         )
 
-    moved = d_image > 0.0
-    banach = np.flatnonzero(moved & (d_image >= d_pair))
-    mt = np.flatnonzero(moved & (d_image >= displacement))
+    banach, mt = np.flatnonzero(banach), np.flatnonzero(mt)
     return ClassicalComparison(
         _Lazy(i.size, row),
         _Lazy(banach.size, lambda n: row(banach[n])),
         _Lazy(mt.size, lambda n: row(mt[n])),
     )
+
+
+def _classical_tests(dist: Callable, points, images, d_x_tx, d_y_ty) -> tuple:
+    """d(Tx, Ty), d(x, y), M(x, y) and the masks of the pairs that fail the
+    metric and the displacement tests (the image moved, and d(Tx, Ty) >=
+    d(x, y), or >= M(x, y)), given d(x, Tx), d(y, Ty) and ``dist(xs, ys)``,
+    the metric on the pairs with x from ``xs`` and y from ``ys``."""
+    d_image, d_pair = dist(images, images), dist(points, points)
+    d_cross = 0.5 * (dist(points, images) + dist(images, points))  # d(Tx, y) = d(y, Tx)
+    displacement = np.maximum(np.maximum(d_pair, d_x_tx), np.maximum(d_y_ty, d_cross))
+    moved = d_image > 0.0  # False where ``dist`` left NaN
+    banach, mt = moved & (d_image >= d_pair), moved & (d_image >= displacement)
+    return d_image, d_pair, displacement, banach, mt
+
+
+def _classical_failure_counts(map_: SelfMap, rel: Relation, sample: Sequence[Point]) -> tuple:
+    """How many related pairs of sample x sample fail the metric and the
+    displacement tests of ``compare_classical``.  The relation and the four
+    distances are evaluated a block of rows at a time and only the two
+    counts are kept, so no array spans all pairs."""
+    sample = as_sample(sample)
+    images = map_.apply_all(sample)
+    d = WDistance.from_metric()
+    d_to_image = d.at(sample, images, range(len(sample)), range(len(sample)))
+    banach = mt = 0
+    for rows, related in _related_blocks(rel, sample):
+        *_, banach_block, mt_block = _classical_tests(
+            lambda xs, ys: d.matrix(xs[rows], ys, where=related), sample, images,
+            d_to_image[rows, None], d_to_image[None, :],
+        )
+        banach += int(np.count_nonzero(banach_block))
+        mt += int(np.count_nonzero(mt_block))
+    return banach, mt
 
 
 def _sample_estimates(
@@ -406,9 +416,8 @@ def verify_theorem(
 
     reasons: list[str] = []
 
-    starts = find_start_points(rel, map_, sample)
-    start_ok = bool(starts)
-    if not start_ok:
+    start_count = len(find_start_points(rel, map_, sample))
+    if not start_count:
         reasons.append("no sampled start points")
 
     closure = check_t_closed(rel, map_, sample)
@@ -422,7 +431,7 @@ def verify_theorem(
         reasons.append(str(exc))
         empty = ContractionEstimate(math.inf, None, 0, 0, (), False)
         return TheoremReport(
-            False, start_ok, t_ok, False, False, math.inf, empty, None, tuple(reasons)
+            False, start_count, t_ok, False, False, math.inf, empty, None, tuple(reasons)
         )
 
     contraction_ok = estimate.is_contraction
@@ -456,7 +465,7 @@ def verify_theorem(
 
     return TheoremReport(
         complete_ok,
-        start_ok,
+        start_count,
         t_ok,
         self_closed_ok,
         contraction_ok,

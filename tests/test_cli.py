@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relfix.cli
 import relfix.verify
 from relfix.cli import (
     STATUS_CHECK_FAILED,
@@ -31,6 +32,7 @@ from relfix.cli import (
 )
 from relfix.engine import OrbitTrace, StopReason
 from relfix.errors import ConfigError, PreconditionError
+from relfix.relations import find_start_points
 from relfix.spaces import Grid, ScalarPoint, grid_fn, scalar
 
 
@@ -93,10 +95,9 @@ class TestVerifyExample:
         record = json.loads((out / "report.json").read_text())
         assert record["advisories"]
 
-    def test_lambda_hat_never_falls_as_the_step_halves(self, tmp_path, monkeypatch):
-        # 80 and 160 points of Ex2_3, past a pair cap of 2,000: the estimate
-        # reads every off-diagonal related pair, m (m - 1) / 2 of them
-        monkeypatch.setattr(relfix.verify, "PAIR_CAP", 2000)
+    def test_lambda_hat_never_falls_as_the_step_halves(self, tmp_path):
+        # 80 and 160 points of Ex2_3: the estimate reads every off-diagonal
+        # related pair, m (m - 1) / 2 of them
         checks = []
         for step in ("0.025", "0.0125"):
             out = tmp_path / step
@@ -131,6 +132,24 @@ class TestVerifyExample:
         record = json.loads((out / "report.json").read_text())
         assert "metric_contraction_unavailable" in record["summary"]["failed"]
         assert record["checks"]["metric_contraction_unavailable"]["observed_lambda"] is None
+
+    @pytest.mark.parametrize("example_id", ["Ex2_3", "Ex2_4"])
+    def test_start_points_are_found_once_per_run(self, example_id, tmp_path, monkeypatch):
+        # Ex2_4 reads its start-point count off the theorem report, which
+        # already found the start points, instead of finding them again
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return find_start_points(*args)
+
+        monkeypatch.setattr(relfix.cli, "find_start_points", counted)
+        monkeypatch.setattr(relfix.verify, "find_start_points", counted)
+        out = tmp_path / example_id
+        assert main(["verify-example", example_id, "--out", str(out)]) == STATUS_OK
+        record = json.loads((out / "report.json").read_text())
+        assert len(calls) == 1
+        assert record["checks"]["start_points_nonempty"]["count"] > 0
 
 
 def run_module(module, *args, cwd):

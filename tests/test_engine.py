@@ -418,6 +418,83 @@ class TestProbeTriesEachDistinctAncestorOnce:
         assert math.copysign(1.0, result.z.value) == 1.0 and result.z.value == 0.0
 
 
+class TestProbeStopsMappingAtAnExactFixedPoint:
+    """Once T returns its point bit for bit the orbit stays there, so the
+    decay test maps no further and checks the steps left against the same
+    p values."""
+
+    @staticmethod
+    def _counted(map_: SelfMap, calls: list, mapped_all: list) -> SelfMap:
+        # each single-point apply goes to ``calls``, each array call to ``mapped_all``
+        return SelfMap(
+            map_.name,
+            lambda pt: calls.append(pt) or map_.apply(pt),
+            lambda v: mapped_all.append(v) or map_.array(v),
+        )
+
+    def test_ex2_4_hint_is_mapped_once_and_the_sample_not_at_all(self):
+        # the hint z = 0 is fixed by T: one apply for the candidate's
+        # residual and one for z, where 26 were made before; the hint
+        # certifies before the 201-point sample would be mapped
+        sample = sample_space(SHRINK.space, step=SHRINK.default_step)
+        orbit = iterate(SHRINK.map, SHRINK.orbit_seed, SHRINK.wdistance, 0.75, max_iter=60)
+        args = (SHRINK.relation, SHRINK.wdistance, 0.75, [orbit.final], sample)
+        calls, mapped_all = [], []
+        counted = self._counted(SHRINK.map, calls, mapped_all)
+        result = probe_uniqueness(args[0], counted, *args[1:], z_hint=SHRINK.z_hint)
+        assert (len(calls), mapped_all) == (2, [])
+        plain = probe_uniqueness(args[0], SHRINK.map, *args[1:], z_hint=SHRINK.z_hint)
+        assert result == plain
+        assert result.verdict is UniquenessVerdict.UNIQUE_BY_CONDITION_1
+        assert result.z == scalar(0.0) and result.notes == ()
+
+    @pytest.mark.parametrize(
+        "root, verdict",
+        [
+            pytest.param(25.5, UniquenessVerdict.UNIQUE_BY_CONDITION_1, id="holds-at-step-25"),
+            pytest.param(24.5, UniquenessVerdict.UNIQUE_BY_CONDITION_2, id="fails-at-step-25"),
+        ],
+    )
+    def test_a_stopped_orbit_is_held_to_every_remaining_bound(self, root, verdict):
+        # from z = 1 the orbit halves down to 1/16 and stops there at step 4;
+        # lambda = 16^(-1 / root) keeps lambda^n above 1/16 up to step
+        # root - 1/2, so the decay passes at the step where the orbit stopped
+        # and at every step to 25 at root 25.5, and fails at step 25 alone at
+        # root 24.5, where condition 2 certifies the single candidate instead
+        calls, mapped_all = [], []
+        halve = SelfMap.elementwise("halve_down_to_1/16", lambda v: np.where(v > 1 / 16, v / 2, v))
+        counted = self._counted(halve, calls, mapped_all)
+        result = probe_uniqueness(
+            universal_relation(), counted, WDistance.from_metric(), 16 ** (-1 / root),
+            [scalar(0.0)], [scalar(1.0)], z_hint=scalar(1.0),
+        )
+        assert result.verdict is verdict
+        # one apply for the residual and five along the orbit from the hint;
+        # only when the hint fails is the sample mapped, and the orbit of its
+        # image 0.5 stops a step sooner
+        assert (len(calls), len(mapped_all)) == ((6, 0) if root == 25.5 else (6 + 4, 1))
+
+    @pytest.mark.parametrize(
+        "zero, wrap",
+        [
+            pytest.param(scalar(0.0), lambda fn: SelfMap.on_scalars("m", fn), id="scalar"),
+            pytest.param(zero_grid_fn(Grid(4)), lambda fn: SelfMap.on_grids("m", fn), id="grid"),
+        ],
+    )
+    def test_a_sign_flip_is_not_a_fixed_point(self, zero, wrap):
+        # v -> -v/2 sends 0.0 to -0.0 and back, never bit for bit to itself,
+        # so all 25 steps are mapped; v -> v/2 fixes 0.0 at the first
+        calls = {}
+        for name, fn in (("flip", lambda v: -0.5 * v), ("halve", lambda v: 0.5 * v)):
+            calls[name] = []
+            map_ = wrap(lambda v, fn=fn, seen=calls[name]: seen.append(1) or fn(v))
+            result = probe_uniqueness(
+                universal_relation(), map_, WDistance.from_metric(), 0.5, [zero], [], z_hint=zero
+            )
+            assert result.verdict is UniquenessVerdict.UNIQUE_BY_CONDITION_1
+        assert (len(calls["flip"]), len(calls["halve"])) == (1 + 25, 1 + 1)
+
+
 class TestSelfMapForms:
     def test_grid_map_through_apply_and_apply_all(self):
         grid = Grid(4)

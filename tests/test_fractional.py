@@ -551,6 +551,43 @@ class TestProblemValidation:
             call(problem)
 
 
+class TestSpotChecks:
+    def test_f_is_called_once_on_every_spot_pair(self):
+        # 3 times t by 4 values of x, as two arrays of 12
+        calls = []
+        source = sine_mix_source(0.2)
+
+        def counted(t, x):
+            calls.append((np.asarray(t).tolist(), np.asarray(x).tolist()))
+            return source(t, x)
+
+        FbvpProblem(beta=1.5, k=0.5, L=0.2, f=counted, grid=Grid(8))
+        assert calls == [(
+            [0.0] * 4 + [0.5] * 4 + [1.0] * 4, [0.0, 0.5, 1.0, 2.0] * 3,
+        )]
+
+    @pytest.mark.parametrize(
+        "f, error, message",
+        [
+            pytest.param(lambda t, x: np.ones(3), ShapeError, "shape", id="wrong-shape"),
+            pytest.param(lambda t, x: 1.0 + math.sqrt(x), TypeError, "array", id="floats-only"),
+            pytest.param(
+                lambda t, x: np.where(t == 1.0, np.nan, 1.0 + 0.0 * x), DomainError,
+                r"^f\(1\.0, 0\.0\) must be finite", id="first-bad-spot-named",
+            ),
+        ],
+    )
+    def test_a_result_that_fails_is_refused_when_built(self, f, error, message):
+        # a result that does not broadcast to the 12 spot pairs, an f that
+        # takes only floats, and a non-finite value, named by its first spot
+        with pytest.raises(error, match=message):
+            FbvpProblem(beta=1.5, k=0.5, L=0.0, f=f, grid=Grid(8))
+
+    def test_a_constant_result_is_broadcast(self):
+        problem = FbvpProblem(beta=1.5, k=0.5, L=0.0, f=lambda t, x: 1.0, grid=Grid(8))
+        assert problem.L == 0.0
+
+
 class TestSolve:
     def test_constant_source_converges_in_two_steps(self):
         problem = FbvpProblem(beta=1.5, k=0.5, L=0.0, f=constant_source(1.0), grid=Grid(64))

@@ -65,13 +65,6 @@ def record_of(report):
     return report.to_record()
 
 
-def capped(cap, fn, *args):
-    """``outcome(fn, *args)`` with the pair cap ``verify.PAIR_CAP`` at ``cap``."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "PAIR_CAP", cap)
-        return outcome(fn, *args)
-
-
 def battery(fx, sample):
     """Every vectorised check on one fixture; returns {name: outcome}."""
     rel, map_, space = fx.relation, fx.map, fx.space
@@ -88,7 +81,6 @@ def battery(fx, sample):
         "start_points": outcome(find_start_points, rel, map_, sample),
         "complete": outcome(check_complete_on, rel, sample),
         "pairs": ("returned", pairs),
-        "pairs_capped": capped(37, related_pairs, rel, sample),
         "estimate": outcome(estimate_lambda, map_, p, rel, pairs),
         "estimate_diag": outcome(estimate_lambda, map_, p, rel, pairs, include_diagonal=True),
         "classical": outcome(compare_classical, map_, space, rel, some_pairs),
@@ -96,9 +88,6 @@ def battery(fx, sample):
         "w3": outcome(check_w3, p, space, coarse, eps_grid=(0.5, 0.1)),
         "theorem": outcome(
             lambda: record_of(verify_theorem(map_, space, rel, p, sample, seed))
-        ),
-        "theorem_capped": capped(
-            41, lambda: record_of(verify_theorem(map_, space, rel, p, sample, seed))
         ),
     }
     if fx.value_p is not None:
@@ -297,11 +286,11 @@ def test_sample_estimates_hold_the_relation_and_a_few_row_blocks():
     assert peak < 5 * BLOCK_ELEMENTS * 8, peak
 
 
-def dense_scans(fx, p, v, cap):
+def dense_scans(fx, p, v):
     """What each pairwise scan returns on the points with values ``v``, from
     whole m x m numpy arrays: the closure, weak-closure and completeness
-    witnesses, the related pairs strided past ``cap``, and both contraction
-    estimates over every related pair."""
+    witnesses, the related pairs, and both contraction estimates over every
+    related pair."""
     w = fx.map.array(v)
     related = np.broadcast_to(fx.relation.array(v[:, None], v[None, :]), (v.size, v.size))
     image_related = fx.relation.array(w[:, None], w[None, :])
@@ -309,9 +298,7 @@ def dense_scans(fx, p, v, cap):
     def pairs(i, j):
         return [(scalar(v[a]), scalar(v[b])) for a, b in zip(i, j)]
 
-    flat = np.flatnonzero(related)
-    kept = flat[:: -(-flat.size // cap)] if flat.size > cap else flat
-    i, j = np.divmod(flat, v.size)
+    i, j = np.nonzero(related)
     base, image = p.array(v[i], v[j]), p.array(w[i], w[j])
     estimates = []
     for include_diagonal in (False, True):
@@ -332,7 +319,7 @@ def dense_scans(fx, p, v, cap):
         "t_closed": pairs(*np.nonzero(related & ~image_related)),
         "weak_t_closed": pairs(*np.nonzero(related & ~image_related & ~image_related.T)),
         "complete": pairs(*np.nonzero(np.triu(~related & ~related.T))),
-        "related": pairs(*np.divmod(kept, v.size)),
+        "related": pairs(i, j),
         "estimates": tuple(estimates),
     }
 
@@ -357,60 +344,92 @@ FAILING_SCAN = {"Ex1_7": "t_closed", "Ex2_4": "complete"}
 
 
 @pytest.mark.parametrize("per_pair", [False, True], ids=["broadcast", "per-pair"])
-@pytest.mark.parametrize("cap", [None, 37], ids=["all-pairs", "strided"])
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("key", ["Ex1_7", "Ex2_3", "Ex2_4"])
-def test_row_block_scans_match_dense_arrays(key, seed, cap, per_pair, monkeypatch):
+def test_row_block_scans_match_dense_arrays(key, seed, per_pair, monkeypatch):
     # 40 draws from the default lattice, repeats included, in row blocks of
-    # one row (64 entries < 2 rows of 40); a cap of 37 thins the related
-    # pairs of every fixture, and the estimates still read all of them
+    # one row (64 entries < 2 rows of 40)
     fx = FIXTURES[key]()
     p = fx.wdistance or ABS_GAP
     lattice = sample_space(fx.space, step=fx.default_step).values
     values = np.random.default_rng(seed).choice(lattice, size=40)
     monkeypatch.setattr(relfix.spaces, "BLOCK_ELEMENTS", 64)
-    if cap is not None:
-        monkeypatch.setattr(verify, "PAIR_CAP", cap)
-    want = dense_scans(fx, p, values, verify.PAIR_CAP)
+    want = dense_scans(fx, p, values)
     related = np.count_nonzero(fx.relation.array(values[:, None], values[None, :]))
     if per_pair:
         fx, p = per_pair_copy(fx), dataclasses.replace(p, array=None)
     got = blocked_scans(fx, p, [scalar(v) for v in values])
     assert got == want
-    kept = len(want["related"])
-    assert kept == related if cap is None else kept <= cap < related
+    assert len(want["related"]) == related
     if key in FAILING_SCAN:
         assert want[FAILING_SCAN[key]]
+
+
+def dense_classical_counts(fx, v):
+    """How many related pairs of the points with values ``v`` fail the metric
+    and the displacement contraction tests, from whole m x m numpy arrays."""
+    w = fx.map.array(v)
+    x, y, tx, ty = v[:, None], v[None, :], w[:, None], w[None, :]
+    d_pair, d_image = np.abs(x - y), np.abs(tx - ty)
+    displacement = np.maximum.reduce(np.broadcast_arrays(
+        d_pair, np.abs(x - tx), np.abs(y - ty), (np.abs(x - ty) + np.abs(y - tx)) / 2
+    ))
+    moved = fx.relation.array(x, y) & (d_image > 0.0)
+    return (
+        int(np.count_nonzero(moved & (d_image >= d_pair))),
+        int(np.count_nonzero(moved & (d_image >= displacement))),
+    )
+
+
+@pytest.mark.parametrize("per_pair", [False, True], ids=["broadcast", "per-pair"])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("key", sorted(FIXTURES))
+def test_classical_failure_counts_match_dense_arrays(key, seed, per_pair, monkeypatch):
+    # 40 draws from the default lattice, repeats included, in row blocks of
+    # one row (64 entries < 2 rows of 40)
+    fx = FIXTURES[key]()
+    lattice = sample_space(fx.space, step=fx.default_step).values
+    values = np.random.default_rng(seed).choice(lattice, size=40)
+    monkeypatch.setattr(relfix.spaces, "BLOCK_ELEMENTS", 64)
+    want = dense_classical_counts(fx, values)
+    if per_pair:
+        fx = per_pair_copy(fx)
+    sample = [scalar(v) for v in values]
+    got = verify._classical_failure_counts(fx.map, fx.relation, sample)
+    assert got == want
+    if key == "Ex2_3":
+        assert min(got) > 0
 
 
 def test_pairwise_scans_hold_no_m_by_m_array():
     # Ex2_4 at step 0.0005: 4,001 points, 16 million ordered pairs.  Each
     # scan may hold 2 MiB of row blocks and sample-long arrays, plus twice
-    # the index arrays it returns (16 bytes per failing or related pair).
+    # the index arrays it returns (16 bytes per failing pair).
     fx = product_shrink_fixture()
     sample = sample_space(fx.space, step=0.0005)
     assert len(sample) == 4001
     scans = {
         "t_closed": lambda: check_t_closed(fx.relation, fx.map, sample).witnesses,
         "complete": lambda: check_complete_on(fx.relation, sample).witnesses,
-        "related": lambda: related_pairs(fx.relation, sample),
         "estimates": lambda: verify._sample_estimates(fx.map, fx.wdistance, fx.relation, sample),
+        "classical": lambda: verify._classical_failure_counts(fx.map, fx.relation, sample),
     }
-    kept = {}
+    kept, results = {}, {}
     for name, scan in scans.items():
         tracemalloc.start()
         try:
-            result = scan()
+            results[name] = scan()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept[name] = 0 if name == "estimates" else len(result)
+        kept[name] = len(results[name]) if name in ("t_closed", "complete") else 0
         assert peak < 2 * 2**20 + 2 * 16 * kept[name], (name, peak, kept[name])
     # the completeness check keeps its failures: the pairs x <= y of the
     # 2,000 points above 1, a quarter of the unordered pairs
     assert kept["complete"] == 2000 * 2001 // 2
     assert kept["t_closed"] == 0
-    assert 0 < kept["related"] <= verify.PAIR_CAP
+    # the classical scan keeps two counts over all 16 million pairs
+    assert all(count > 0 for count in results["classical"])
 
 
 def traced_peak(fn):

@@ -88,6 +88,11 @@ MUTANTS = (
            "report.json is json.dumps with sort_keys, so its keys are sorted"),
     Mutant(ENGINE, "index[np.sort(first)]", "index[first]",
            "ancestors are tried in sample order, not in order of their bits"),
+    Mutant(VERIFY, "banach += int(np.count_nonzero(banach_block))",
+           "banach = int(np.count_nonzero(banach_block))",
+           "the classical failure count sums every row block, not the last one"),
+    Mutant(ENGINE, "if any(gap > lam**n", "if moving and any(gap > lam**n",
+           "an orbit stopped at a fixed point must meet every bound left, to step PROBE_STEPS"),
 )
 
 
