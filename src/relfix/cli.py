@@ -6,6 +6,10 @@ byte-identical), then its tables: ``solution.csv`` for a solve, and
 ``orbit.csv`` for a run that iterated.  The report is the ASCII text of
 ``json.dumps(record, sort_keys=True, indent=2)``.  Exit status 0 means every
 asserted check passed; advisories are recorded but never affect status.
+
+Each check records ``pass`` and its evidence.  The rules that checks share are
+stated once (``_verdict``, ``_converges``, ``_gap_ratio``, ``_chaining``), and
+the README lists every check with its rule and threshold.
 """
 
 from __future__ import annotations
@@ -21,12 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import OrbitTrace, UniquenessVerdict, certify_cauchy, iterate, probe_uniqueness
+from .engine import OrbitTrace, StopReason, UniquenessVerdict, certify_cauchy, iterate
+from .engine import probe_uniqueness
 from .errors import ConfigError, DivergenceError, EstimationError, PreconditionError, RelfixError
 from .errors import SamplingError, check_count, check_real
 from .fixtures import FIXTURES, F_REGISTRY, Fixture
 from .fractional import FbvpProblem, OperatorVariant, solve_fbvp
 from .relations import (
+    Verdict,
     check_complete_on,
     check_t_closed,
     check_weak_t_closed,
@@ -53,6 +59,8 @@ AXIOM_SAMPLE_LIMIT = 50
 # Rows formatted and written at a time by ``_write_table``, so that a long
 # table is never held whole as one string.
 CSV_BLOCK_ROWS = 256
+
+_HOLDS, _FAILS = Verdict.HOLDS_ON_SAMPLE, Verdict.FAILS_WITH_WITNESS
 
 
 def _read_text(path: Path, missing: str) -> str:
@@ -170,16 +178,59 @@ def _coarse(sample):
 # verify-example batteries
 
 
+def _verdict(report, want, *keys: str) -> dict:
+    """The verdict rule: ``report``, a sample report or a uniqueness probe,
+    reads the verdict ``want``.  The check records ``expected`` (``want``),
+    ``observed`` (the report's verdict) and ``detail`` (its record), or only
+    those of them that ``keys`` names."""
+    evidence = {
+        "expected": lambda: want.value,
+        "observed": lambda: report.verdict.value,
+        "detail": report.to_record,
+    }
+    return {"pass": report.verdict is want, **{key: evidence[key]() for key in keys or evidence}}
+
+
+def _converges(orbit: OrbitTrace, map_) -> dict:
+    """The convergence rule: the orbit stopped ``converged`` and ``map_``
+    moves its final point by a residual of at most 1e-9."""
+    residual = point_distance(orbit.final, map_.apply(orbit.final))
+    return {
+        "pass": orbit.stop_reason is StopReason.CONVERGED and residual <= 1e-9,
+        "steps": orbit.steps,
+        "residual": residual,
+        "detail": orbit.to_record(),
+    }
+
+
+def _gap_ratio(observed: float, contraction: float) -> dict:
+    """The gap-ratio rule: the observed ratio of successive gaps is at most
+    the bound, the contraction factor L * lambda_tight plus 0.02."""
+    bound = contraction + 0.02
+    return {"pass": observed <= bound, "observed": observed, "bound": bound}
+
+
+def _chaining(p_gaps: np.ndarray, lam: float) -> dict:
+    """The chaining rule: no p-gap exceeds ``lam`` times the one before by
+    more than 1e-12.  The largest excess, 0.0 for fewer than two gaps, is
+    recorded as ``max_slack``."""
+    slack = float((p_gaps[1:] - lam * p_gaps[:-1]).max()) if len(p_gaps) > 1 else 0.0
+    return {"pass": slack <= 1e-12, "max_slack": slack}
+
+
+def _also(check: dict, holds: bool, **evidence) -> dict:
+    """``check``, recording ``evidence`` too and passing only where ``holds``."""
+    return {**check, **evidence, "pass": check["pass"] and holds}
+
+
 def _start_and_axiom_checks(fx: Fixture, sample, checks, start_count: int):
     """The count of start points on the sample, and the triangle and
     separation axioms of the fixture's pair distance on a coarsened copy of it."""
     checks["start_points_nonempty"] = {"pass": start_count > 0, "count": start_count}
-
     coarse = _coarse(sample)
-    tri = check_triangle(fx.wdistance, coarse)
-    checks["triangle_axiom"] = {"pass": tri.ok, "detail": tri.to_record()}
+    checks["triangle_axiom"] = _verdict(check_triangle(fx.wdistance, coarse), _HOLDS, "detail")
     w3 = check_w3(fx.wdistance, fx.space, coarse, eps_grid=(0.5, 0.1))
-    checks["separation_axiom"] = {"pass": w3.ok, "detail": w3.to_record()}
+    checks["separation_axiom"] = _verdict(w3, _HOLDS, "detail")
 
 
 def _cauchy_check(fx: Fixture, orbit, checks):
@@ -189,23 +240,11 @@ def _cauchy_check(fx: Fixture, orbit, checks):
 
 def _battery_parity(fx: Fixture, sample, checks, advisories):
     closed = check_t_closed(fx.relation, fx.map, sample)
-    checks["map_closed_fails"] = {
-        "pass": not closed.ok,
-        "expected": "fails_with_witness",
-        "observed": closed.verdict.value,
-        "detail": closed.to_record(),
-    }
+    checks["map_closed_fails"] = _verdict(closed, _FAILS)
     weak = check_weak_t_closed(fx.relation, fx.map, sample)
-    checks["weak_map_closed_holds"] = {
-        "pass": weak.ok,
-        "observed": weak.verdict.value,
-    }
+    checks["weak_map_closed_holds"] = _verdict(weak, _HOLDS, "observed")
     complete = check_complete_on(fx.relation, sample[:4])
-    checks["completeness_fails_on_small_sample"] = {
-        "pass": not complete.ok,
-        "observed": complete.verdict.value,
-        "detail": complete.to_record(),
-    }
+    checks["completeness_fails_on_small_sample"] = _verdict(complete, _FAILS, "observed", "detail")
     try:
         est, _ = _sample_estimates(fx.map, WDistance.from_metric(), fx.relation, sample)
     except EstimationError:  # a step too coarse to keep any related pair
@@ -214,33 +253,21 @@ def _battery_parity(fx: Fixture, sample, checks, advisories):
         "pass": est is not None and est.lambda_hat >= 1.0,
         "observed_lambda": None if est is None else est.lambda_hat,
     }
-    return None
 
 
 def _battery_ceiling(fx: Fixture, sample, checks, advisories):
     gaps = 1.0 / (5 * (np.arange(1, 61) + 1))
     left, right = ScalarSample(1.0 - gaps), ScalarSample(1.0 + gaps)
     limit = scalar(1.0)
-    rep_left = check_rlsc(fx.value_p, scalar(0.0), fx.relation, left, limit, conv_tol=0.01)
-    checks["lower_semicontinuity_left_approach"] = {
-        "pass": rep_left.ok,
-        "detail": rep_left.to_record(),
-    }
-    rep_right = check_rlsc(fx.value_p, scalar(0.0), fx.relation, right, limit, conv_tol=0.01)
-    checks["lower_semicontinuity_right_approach"] = {
-        "pass": rep_right.ok,
-        "detail": rep_right.to_record(),
-    }
+    for side, approach in (("left", left), ("right", right)):
+        rep = check_rlsc(fx.value_p, scalar(0.0), fx.relation, approach, limit, conv_tol=0.01)
+        checks[f"lower_semicontinuity_{side}_approach"] = _verdict(rep, _HOLDS, "detail")
     image_gap = abs(fx.value_p(scalar(0.0), right[-1]) - fx.value_p(scalar(0.0), limit))
-    checks["value_jump_across_limit"] = {
-        "pass": image_gap >= 0.5,
-        "observed_gap": image_gap,
-    }
+    checks["value_jump_across_limit"] = {"pass": image_gap >= 0.5, "observed_gap": image_gap}
     advisories.append(
         "value function overshoots along right approaches, so it is lower "
         "semi-continuous along preserving sequences without being continuous"
     )
-    return None
 
 
 def _battery_plateau(fx: Fixture, sample, checks, advisories):
@@ -248,34 +275,22 @@ def _battery_plateau(fx: Fixture, sample, checks, advisories):
     below, above = ScalarSample(1.0 - gaps), ScalarSample(1.0 + gaps)
     limit = scalar(1.0)
     rep = check_rlsc(fx.value_p, scalar(0.0), fx.relation, below, limit, conv_tol=0.02)
-    checks["lower_semicontinuity_preserving_sequences"] = {
-        "pass": rep.ok,
-        "detail": rep.to_record(),
-    }
+    checks["lower_semicontinuity_preserving_sequences"] = _verdict(rep, _HOLDS, "detail")
     plain = check_rlsc(fx.value_p, scalar(0.0), universal_relation(), above, limit, conv_tol=0.02)
-    checks["plain_lower_semicontinuity_fails"] = {
-        "pass": not plain.ok,
-        "expected": "fails_with_witness",
-        "observed": plain.verdict.value,
-        "detail": plain.to_record(),
-    }
+    checks["plain_lower_semicontinuity_fails"] = _verdict(plain, _FAILS)
     try:
         check_rlsc(fx.value_p, scalar(0.0), fx.relation, above, limit, conv_tol=0.02)
         raised = False
     except PreconditionError:
         raised = True
     checks["right_approach_not_preserving"] = {"pass": raised}
-    return None
 
 
 def _battery_ordered_halving(fx: Fixture, sample, checks, advisories):
     closed = check_t_closed(fx.relation, fx.map, sample)
-    checks["map_closed_holds"] = {"pass": closed.ok, "observed": closed.verdict.value}
+    checks["map_closed_holds"] = _verdict(closed, _HOLDS, "observed")
     complete = check_complete_on(fx.relation, sample)
-    checks["relation_complete_on_sample"] = {
-        "pass": complete.ok,
-        "observed": complete.verdict.value,
-    }
+    checks["relation_complete_on_sample"] = _verdict(complete, _HOLDS, "observed")
     _start_and_axiom_checks(fx, sample, checks, len(find_start_points(fx.relation, fx.map, sample)))
 
     banach, mt = _classical_failure_counts(fx.map, fx.relation, sample)
@@ -296,23 +311,12 @@ def _battery_ordered_halving(fx: Fixture, sample, checks, advisories):
     )
 
     orbit = iterate(fx.map, fx.orbit_seed, fx.wdistance, est.lambda_hat, max_iter=100)
-    residual = point_distance(orbit.final, fx.map.apply(orbit.final))
-    checks["orbit_converges"] = {
-        "pass": orbit.stop_reason.value == "converged" and residual <= 1e-9,
-        "steps": orbit.steps,
-        "residual": residual,
-        "detail": orbit.to_record(),
-    }
+    checks["orbit_converges"] = _converges(orbit, fx.map)
     _cauchy_check(fx, orbit, checks)
     probe = probe_uniqueness(
         fx.relation, fx.map, fx.wdistance, est.lambda_hat, [orbit.final], sample
     )
-    checks["uniqueness_probe"] = {
-        "pass": probe.verdict is UniquenessVerdict.UNIQUE_BY_CONDITION_2,
-        "expected": UniquenessVerdict.UNIQUE_BY_CONDITION_2.value,
-        "observed": probe.verdict.value,
-        "detail": probe.to_record(),
-    }
+    checks["uniqueness_probe"] = _verdict(probe, UniquenessVerdict.UNIQUE_BY_CONDITION_2)
     return orbit
 
 
@@ -329,25 +333,9 @@ def _battery_product_shrink(fx: Fixture, sample, checks, advisories):
     }
 
     orbit = iterate(fx.map, fx.orbit_seed, fx.wdistance, fx.lambda_hint, max_iter=60)
-    residual = point_distance(orbit.final, fx.map.apply(orbit.final))
-    final_value = abs(orbit.final.value)
-    checks["orbit_reaches_zero"] = {
-        "pass": orbit.stop_reason.value == "converged"
-        and residual <= 1e-9
-        and final_value <= 1e-8,
-        "steps": orbit.steps,
-        "residual": residual,
-        "final": final_value,
-        "detail": orbit.to_record(),
-    }
-    slack = max(
-        (
-            float(orbit.p_gaps[i] - fx.lambda_hint * orbit.p_gaps[i - 1])
-            for i in range(1, orbit.steps)
-        ),
-        default=0.0,
-    )
-    checks["p_gap_chaining"] = {"pass": slack <= 1e-12, "max_slack": slack}
+    final = abs(orbit.final.value)
+    checks["orbit_reaches_zero"] = _also(_converges(orbit, fx.map), final <= 1e-8, final=final)
+    checks["p_gap_chaining"] = _chaining(orbit.p_gaps, fx.lambda_hint)
     _cauchy_check(fx, orbit, checks)
     probe = probe_uniqueness(
         fx.relation,
@@ -358,13 +346,8 @@ def _battery_product_shrink(fx: Fixture, sample, checks, advisories):
         sample,
         z_hint=fx.z_hint,
     )
-    z_is_zero = probe.z is not None and probe.z.value == 0.0
-    checks["uniqueness_probe"] = {
-        "pass": probe.verdict is UniquenessVerdict.UNIQUE_BY_CONDITION_1 and z_is_zero,
-        "expected": UniquenessVerdict.UNIQUE_BY_CONDITION_1.value,
-        "observed": probe.verdict.value,
-        "detail": probe.to_record(),
-    }
+    unique = _verdict(probe, UniquenessVerdict.UNIQUE_BY_CONDITION_1)
+    checks["uniqueness_probe"] = _also(unique, probe.z is not None and probe.z.value == 0.0)
 
     pair = [(scalar(1.0), scalar(0.75))]
     comparison = compare_classical(fx.map, fx.space, fx.relation, pair)
@@ -538,11 +521,7 @@ def run_solve_fbvp(config_path: Path, out_dir: Path) -> int:
     }
     contraction = problem.L * solution.lambda_tight
     if contraction < 1.0:
-        checks["gap_ratio_bound"] = {
-            "pass": solution.gap_ratio <= contraction + 0.02,
-            "observed": solution.gap_ratio,
-            "bound": contraction + 0.02,
-        }
+        checks["gap_ratio_bound"] = _gap_ratio(solution.gap_ratio, contraction)
     tables = {
         SOLUTION_NAME: _solution_table(problem.grid, solution.x.values),
         ORBIT_NAME: _orbit_table(solution.trace),

@@ -10,7 +10,6 @@ decide every numeric domain.
 
 import math
 import numbers
-import sys
 
 __all__ = [
     "RelfixError",
@@ -73,9 +72,12 @@ def check_real(value, what: str, error: type, lo=0.0, hi=math.inf, ends="[]") ->
     ``hi``, each end included where ``ends`` ("[]", "[)", "(]" or "()") has a
     square bracket; otherwise raise ``error``, or ``TypeError`` when it is
     not a real number at all."""
-    if not isinstance(value, numbers.Real):
+    if type(value) is not float and not isinstance(value, numbers.Real):
         raise TypeError(f"{what} must be a real number, got {type(value).__name__}")
-    x = float(value) if abs(value) <= sys.float_info.max else math.inf
+    try:
+        x = float(value)
+    except OverflowError:  # an int or a Fraction beyond the float range
+        x = math.inf
     above = lo <= x if ends[0] == "[" else lo < x
     below = x <= hi if ends[1] == "]" else x < hi
     if math.isfinite(x) and above and below:

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import enum
 import gc
 import importlib.util
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import relfix.cli
+import relfix.fixtures
 import relfix.verify
 from relfix.cli import (
     STATUS_CHECK_FAILED,
@@ -30,10 +32,11 @@ from relfix.cli import (
     main,
     parse_config,
 )
-from relfix.engine import OrbitTrace, StopReason
+from relfix.engine import OrbitTrace, SelfMap, StopReason
 from relfix.errors import ConfigError, PreconditionError
-from relfix.relations import find_start_points
-from relfix.spaces import Grid, ScalarPoint, grid_fn, scalar
+from relfix.relations import RelationProperty, RelationReport, Verdict, find_start_points
+from relfix.spaces import Grid, ScalarPoint, grid_fn, sample_space, scalar
+from relfix.wdistance import WDistance
 
 
 GOOD_CONFIG = """
@@ -657,3 +660,68 @@ class TestReportEncoder:
         finally:
             gc.enable()
         assert text == self._dumps(record)
+
+
+class TestCheckRules:
+    """Each check's threshold, fed literal values near its boundary."""
+
+    @staticmethod
+    def _battery(example_id, **changes):
+        fx = dataclasses.replace(relfix.fixtures.FIXTURES[example_id](), **changes)
+        checks: dict = {}
+        sample = sample_space(fx.space, step=fx.default_step)
+        relfix.cli._BATTERIES[example_id](fx, sample, checks, [])
+        return checks
+
+    def test_verdict_rule_records_the_keys_asked_for(self):
+        holds = RelationReport(RelationProperty.T_CLOSED, (), 3)
+        assert relfix.cli._verdict(holds, Verdict.HOLDS_ON_SAMPLE) == {
+            "pass": True,
+            "expected": "holds_on_sample",
+            "observed": "holds_on_sample",
+            "detail": holds.to_record(),
+        }
+        fails = relfix.cli._verdict(holds, Verdict.FAILS_WITH_WITNESS, "observed")
+        assert fails == {"pass": False, "observed": "holds_on_sample"}
+
+    @pytest.mark.parametrize("residual, stop, ok", [
+        (1e-9, StopReason.CONVERGED, True),
+        (2e-9, StopReason.CONVERGED, False),
+        (0.0, StopReason.MAX_ITER, False),
+    ])
+    def test_convergence_rule_allows_a_residual_of_1e_9(self, residual, stop, ok):
+        empty = np.empty(0)
+        orbit = OrbitTrace((scalar(0.0),), empty, empty, empty, 0.5, stop)
+        nudge = SelfMap.elementwise("nudge", lambda v: v + residual)
+        check = relfix.cli._converges(orbit, nudge)
+        assert check["pass"] is ok and check["residual"] == residual
+
+    @pytest.mark.parametrize("over, ok", [(0.01, True), (0.03, False)])
+    def test_gap_ratio_bound_is_the_contraction_plus_0_02(self, over, ok):
+        check = relfix.cli._gap_ratio(0.3 + over, 0.3)
+        assert check == {"pass": ok, "observed": 0.3 + over, "bound": 0.3 + 0.02}
+
+    @pytest.mark.parametrize("gaps, slack", [
+        ([1.0], 0.0),
+        ([], 0.0),
+        ([1.0, 0.5], 0.0),
+        ([1.0, 0.25, 0.0625], -0.0625),
+        ([1.0, 0.5 + 2e-12], 2e-12),
+    ])
+    def test_chaining_rule_allows_a_slack_of_1e_12(self, gaps, slack):
+        check = relfix.cli._chaining(np.array(gaps), 0.5)
+        assert check["max_slack"] == pytest.approx(slack, abs=1e-16)
+        assert check["pass"] is (slack <= 1e-12)
+
+    @pytest.mark.parametrize("offset, ok", [(0.0, True), (2e-12, False), (-2e-12, False)])
+    def test_theorem_check_needs_lambda_hat_at_the_hint(self, offset, ok):
+        checks = self._battery("Ex2_4", lambda_hint=0.75 + offset)
+        check = checks["theorem_hypotheses_verified"]
+        assert check["detail"]["lambda_hat"] == 0.75
+        assert check["pass"] is ok
+
+    @pytest.mark.parametrize("gap, ok", [(0.5, True), (0.49, False)])
+    def test_value_jump_is_at_least_one_half(self, gap, ok):
+        jump = WDistance.elementwise("jump", lambda x, y: np.where(y > 1.0, gap, 0.0))
+        check = self._battery("Ex1_13", value_p=jump)["value_jump_across_limit"]
+        assert check == {"pass": ok, "observed_gap": gap}

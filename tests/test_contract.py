@@ -14,6 +14,7 @@ import inspect
 import math
 import warnings
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -50,6 +51,7 @@ from relfix import (
     solve_fbvp,
     universal_relation,
 )
+from relfix.errors import check_real
 from relfix.fixtures import (
     affine_source,
     constant_source,
@@ -215,6 +217,23 @@ def public_parameters():
             continue
         for param in inspect.signature(target).parameters.values():
             yield name, target, param
+
+
+@pytest.mark.parametrize("value", [3, Fraction(1, 4), np.float32(0.5), True, 0.5], ids=repr)
+def test_check_real_accepts_every_real_type(value):
+    assert check_real(value, "x", relfix.DomainError) == float(value)
+
+
+@pytest.mark.parametrize("value", ["1.0", None], ids=repr)
+def test_check_real_rejects_a_non_number_with_type_error(value):
+    with pytest.raises(TypeError, match=f"x must be a real number, got {type(value).__name__}"):
+        check_real(value, "x", relfix.DomainError)
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["above", "below"])
+def test_check_real_refuses_an_int_beyond_the_float_range(value):
+    with pytest.raises(relfix.DomainError, match="x must be finite"):
+        check_real(value, "x", relfix.DomainError, lo=-math.inf)
 
 
 def test_every_public_numeric_argument_is_in_the_contract():

@@ -166,6 +166,17 @@ class TestCertifyCauchy:
         )
         assert certify_cauchy(trace, p).ok is ok
 
+    def test_only_later_points_are_bounded(self):
+        # p(x, y) = y on x -> x / 2 from 1: p(x_n, x_n) = 2^-n exceeds
+        # u_n = 0.5 * 0.45^n / 0.55 for n <= 5, while p(x_n, x_m) = 2^-m
+        # <= 2^-(n + 1) <= u_n for every m > n, the pairs the theorem bounds.
+        halve = SelfMap.elementwise("halve", lambda v: v / 2.0)
+        p = WDistance.elementwise("second", lambda x, y: y + 0.0 * x)
+        trace = iterate(halve, scalar(1.0), p, 0.45, max_iter=5)
+        assert trace.steps == 5
+        assert all(p(x, x) > u + CAUCHY_SLACK for x, u in zip(trace.points, trace.bound))
+        assert certify_cauchy(trace, p).ok
+
 
     def test_no_certificate_without_a_contraction(self):
         # at lambda = 1 every bound u_n is infinite, so no pair could violate it

@@ -46,6 +46,7 @@ class Outcome(NamedTuple):
 ENGINE, VERIFY = "src/relfix/engine.py", "src/relfix/verify.py"
 RELATIONS, WDIST = "src/relfix/relations.py", "src/relfix/wdistance.py"
 FRACTIONAL, CLI = "src/relfix/fractional.py", "src/relfix/cli.py"
+SPACES = "src/relfix/spaces.py"
 
 MUTANTS = (
     Mutant(ENGINE, "bound[rows, None] + CAUCHY_SLACK", "bound[rows, None] + 1e-3",
@@ -93,6 +94,31 @@ MUTANTS = (
            "the classical failure count sums every row block, not the last one"),
     Mutant(ENGINE, "if any(gap > lam**n", "if moving and any(gap > lam**n",
            "an orbit stopped at a fixed point must meet every bound left, to step PROBE_STEPS"),
+    Mutant(CLI, "bound = contraction + 0.02", "bound = contraction + 0.5",
+           "a gap ratio 0.03 above L * lambda_tight is past the 0.02 allowance"),
+    Mutant(CLI, "abs(report.lambda_hat - fx.lambda_hint) <= 1e-12",
+           "abs(report.lambda_hat - fx.lambda_hint) <= 1e-3",
+           "Ex2_4's lambda-hat equals the analytic 0.75; 2e-12 off it is another constant"),
+    Mutant(CLI, "residual <= 1e-9", "residual <= 1e-3",
+           "an orbit whose final point T moves by 2e-9 has not converged"),
+    Mutant(CLI, "image_gap >= 0.5", "image_gap >= 0.0",
+           "Ex1_13's value function jumps by at least 1/2 across the limit"),
+    Mutant(CLI, "slack <= 1e-12", "slack <= 1e-6",
+           "a p-gap 2e-12 above lambda times the one before breaks the chaining"),
+    Mutant(ENGINE, "index[rows, None] < index[None, :]", "index[rows, None] <= index[None, :]",
+           "the theorem bounds p(x_n, x_m) for m > n only; p(x_n, x_n) may exceed u_n"),
+    Mutant(VERIFY, "k // m + rows.start", "k // m",
+           "a row block's flat positions index the sample from the block's first row"),
+    Mutant(SPACES, "i.append(r + rows.start)", "i.append(r)",
+           "a row block's pairs index the sample from the block's first row"),
+    Mutant(FRACTIONAL, "main[0] = 0.0", "main[0] += 0.0",
+           "the integral over [0, 0] is zero, whatever the lag kernel's correction leaves there"),
+    Mutant(FRACTIONAL, "out /= 2.0 + k * k", "out /= 2.0 + k",
+           "the coupling ramp is 2t / (2 + k^2)"),
+    Mutant(WDIST, "bad = (near @ far > 0.0) & (near > 0.0)", "bad = near @ far > 0.0",
+           "a separation witness z is near x as well as near some y far from x"),
+    Mutant(VERIFY, "image[same] = -math.inf", "image[same] *= 1.0",
+           "the off-diagonal estimate leaves out pairs of a point with itself"),
 )
 
 
