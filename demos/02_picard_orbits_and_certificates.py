@@ -14,7 +14,6 @@ from relfix import (
     estimate_lambda,
     iterate,
     probe_uniqueness,
-    related_pairs,
     sample_space,
     scalar,
 )
@@ -24,8 +23,7 @@ fx = product_shrink_fixture()
 
 print("estimating the contraction factor on the 0.01 lattice...")
 sample = sample_space(fx.space, step=0.01)
-pairs = related_pairs(fx.relation, sample)
-estimate = estimate_lambda(fx.map, fx.wdistance, fx.relation, pairs)
+estimate, _ = estimate_lambda(fx.map, fx.wdistance, fx.relation, sample)
 witness = tuple(p.value for p in estimate.witness_pair)
 print(f"  lambda_hat = {estimate.lambda_hat}  (worst pair {witness}, "
       f"{estimate.pairs_checked} pairs checked)")

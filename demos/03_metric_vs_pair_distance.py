@@ -12,7 +12,6 @@ machinery go through.
 from relfix import (
     compare_classical,
     estimate_lambda,
-    related_pairs,
     sample_space,
     scalar,
     verify_theorem,
@@ -20,27 +19,26 @@ from relfix import (
 from relfix.fixtures import ordered_halving_fixture, product_shrink_fixture
 
 fx = ordered_halving_fixture()
-pair = [(scalar(2.0), scalar(1.0))]
+# (2, 1) is the one related pair of {1, 2} off the diagonal
+two_points = [scalar(1.0), scalar(2.0)]
 
 print("the pair (x, y) = (2, 1):  T(2) = 2, T(1) = 1/2")
-comparison = compare_classical(fx.map, fx.space, fx.relation, pair)
-row = comparison.rows[0]
+comparison = compare_classical(fx.map, fx.space, fx.relation, two_points)
+row = comparison.first_banach_failure
 print(f"  d(Tx, Ty) = {row.d_image}")
 print(f"  d(x, y)   = {row.d_pair}        -> no factor below 1 can dominate")
 print(f"  M(x, y)   = {row.m_displacement}       -> the displacement route fails too")
 
-estimate = estimate_lambda(fx.map, fx.wdistance, fx.relation, pair)
+estimate, _ = estimate_lambda(fx.map, fx.wdistance, fx.relation, two_points)
 print(f"  p(Tx, Ty) / p(x, y) = {estimate.lambda_hat}  (= 5/6, below 1)")
 
 print()
 print("the full sample tells the same story:")
 sample = sample_space(fx.space, step=0.1)
-pairs = related_pairs(fx.relation, sample)
-full = compare_classical(fx.map, fx.space, fx.relation, pairs)
-print(f"  {len(full.rows)} related pairs: metric contraction fails on "
-      f"{len(full.banach_failures)}, displacement on {len(full.mt_failures)}")
-est = estimate_lambda(fx.map, fx.wdistance, fx.relation, pairs)
-est_diag = estimate_lambda(fx.map, fx.wdistance, fx.relation, pairs, include_diagonal=True)
+full = compare_classical(fx.map, fx.space, fx.relation, sample)
+print(f"  {full.pairs} related pairs: metric contraction fails on "
+      f"{full.banach_failure_count}, displacement on {full.mt_failure_count}")
+est, est_diag = estimate_lambda(fx.map, fx.wdistance, fx.relation, sample)
 print(f"  pair-distance ratio supremum: {est.lambda_hat:.6f} off-diagonal, "
       f"{est_diag.lambda_hat:.6f} with the diagonal included")
 print("  (the ratio creeps toward 1 near the fixed point, so the sample")

@@ -8,8 +8,9 @@ byte-identical), then its tables: ``solution.csv`` for a solve, and
 asserted check passed; advisories are recorded but never affect status.
 
 Each check records ``pass`` and its evidence.  The rules that checks share are
-stated once (``_verdict``, ``_converges``, ``_gap_ratio``, ``_chaining``), and
-the README lists every check with its rule and threshold.
+stated once (``_verdict``, ``_converges``, ``_classical_checks``, ``_gap_ratio``,
+``_chaining``), and the README lists every check with its rule and threshold.
+The batteries call only the library's public names.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .relations import (
     universal_relation,
 )
 from .spaces import Grid, ScalarPoint, ScalarSample, point_distance, sample_space, scalar
-from .verify import _classical_failure_counts, _sample_estimates, compare_classical, verify_theorem
+from .verify import ClassicalComparison, OverallVerdict, compare_classical, estimate_lambda
+from .verify import verify_theorem
 from .wdistance import WDistance, check_rlsc, check_triangle, check_w3
 
 __all__ = ["main", "console"]
@@ -178,17 +180,16 @@ def _coarse(sample):
 # verify-example batteries
 
 
-def _verdict(report, want, *keys: str) -> dict:
+def _verdict(report, want) -> dict:
     """The verdict rule: ``report``, a sample report or a uniqueness probe,
     reads the verdict ``want``.  The check records ``expected`` (``want``),
-    ``observed`` (the report's verdict) and ``detail`` (its record), or only
-    those of them that ``keys`` names."""
-    evidence = {
-        "expected": lambda: want.value,
-        "observed": lambda: report.verdict.value,
-        "detail": report.to_record,
+    ``observed`` (the report's verdict) and ``detail`` (its record)."""
+    return {
+        "pass": report.verdict is want,
+        "expected": want.value,
+        "observed": report.verdict.value,
+        "detail": report.to_record(),
     }
-    return {"pass": report.verdict is want, **{key: evidence[key]() for key in keys or evidence}}
 
 
 def _converges(orbit: OrbitTrace, map_) -> dict:
@@ -218,6 +219,20 @@ def _chaining(p_gaps: np.ndarray, lam: float) -> dict:
     return {"pass": slack <= 1e-12, "max_slack": slack}
 
 
+def _classical_checks(comparison: ClassicalComparison, checks) -> None:
+    """The failure-count rule, once per classical test: at least one related
+    sample pair fails it.  Each check records how many do and the first."""
+    record = comparison.to_record()
+    for name, test in (("plain_metric_contraction_fails", "banach"),
+                       ("displacement_contraction_fails", "mt")):
+        count = record[f"{test}_failure_count"]
+        checks[name] = {
+            "pass": count > 0,
+            "failure_count": count,
+            "first_failure": record[f"first_{test}_failure"],
+        }
+
+
 def _also(check: dict, holds: bool, **evidence) -> dict:
     """``check``, recording ``evidence`` too and passing only where ``holds``."""
     return {**check, **evidence, "pass": check["pass"] and holds}
@@ -228,9 +243,9 @@ def _start_and_axiom_checks(fx: Fixture, sample, checks, start_count: int):
     separation axioms of the fixture's pair distance on a coarsened copy of it."""
     checks["start_points_nonempty"] = {"pass": start_count > 0, "count": start_count}
     coarse = _coarse(sample)
-    checks["triangle_axiom"] = _verdict(check_triangle(fx.wdistance, coarse), _HOLDS, "detail")
+    checks["triangle_axiom"] = _verdict(check_triangle(fx.wdistance, coarse), _HOLDS)
     w3 = check_w3(fx.wdistance, fx.space, coarse, eps_grid=(0.5, 0.1))
-    checks["separation_axiom"] = _verdict(w3, _HOLDS, "detail")
+    checks["separation_axiom"] = _verdict(w3, _HOLDS)
 
 
 def _cauchy_check(fx: Fixture, orbit, checks):
@@ -242,11 +257,11 @@ def _battery_parity(fx: Fixture, sample, checks, advisories):
     closed = check_t_closed(fx.relation, fx.map, sample)
     checks["map_closed_fails"] = _verdict(closed, _FAILS)
     weak = check_weak_t_closed(fx.relation, fx.map, sample)
-    checks["weak_map_closed_holds"] = _verdict(weak, _HOLDS, "observed")
+    checks["weak_map_closed_holds"] = _verdict(weak, _HOLDS)
     complete = check_complete_on(fx.relation, sample[:4])
-    checks["completeness_fails_on_small_sample"] = _verdict(complete, _FAILS, "observed", "detail")
+    checks["completeness_fails_on_small_sample"] = _verdict(complete, _FAILS)
     try:
-        est, _ = _sample_estimates(fx.map, WDistance.from_metric(), fx.relation, sample)
+        est, _ = estimate_lambda(fx.map, WDistance.from_metric(), fx.relation, sample)
     except EstimationError:  # a step too coarse to keep any related pair
         est = None
     checks["metric_contraction_unavailable"] = {
@@ -261,7 +276,7 @@ def _battery_ceiling(fx: Fixture, sample, checks, advisories):
     limit = scalar(1.0)
     for side, approach in (("left", left), ("right", right)):
         rep = check_rlsc(fx.value_p, scalar(0.0), fx.relation, approach, limit, conv_tol=0.01)
-        checks[f"lower_semicontinuity_{side}_approach"] = _verdict(rep, _HOLDS, "detail")
+        checks[f"lower_semicontinuity_{side}_approach"] = _verdict(rep, _HOLDS)
     image_gap = abs(fx.value_p(scalar(0.0), right[-1]) - fx.value_p(scalar(0.0), limit))
     checks["value_jump_across_limit"] = {"pass": image_gap >= 0.5, "observed_gap": image_gap}
     advisories.append(
@@ -275,7 +290,7 @@ def _battery_plateau(fx: Fixture, sample, checks, advisories):
     below, above = ScalarSample(1.0 - gaps), ScalarSample(1.0 + gaps)
     limit = scalar(1.0)
     rep = check_rlsc(fx.value_p, scalar(0.0), fx.relation, below, limit, conv_tol=0.02)
-    checks["lower_semicontinuity_preserving_sequences"] = _verdict(rep, _HOLDS, "detail")
+    checks["lower_semicontinuity_preserving_sequences"] = _verdict(rep, _HOLDS)
     plain = check_rlsc(fx.value_p, scalar(0.0), universal_relation(), above, limit, conv_tol=0.02)
     checks["plain_lower_semicontinuity_fails"] = _verdict(plain, _FAILS)
     try:
@@ -288,15 +303,13 @@ def _battery_plateau(fx: Fixture, sample, checks, advisories):
 
 def _battery_ordered_halving(fx: Fixture, sample, checks, advisories):
     closed = check_t_closed(fx.relation, fx.map, sample)
-    checks["map_closed_holds"] = _verdict(closed, _HOLDS, "observed")
+    checks["map_closed_holds"] = _verdict(closed, _HOLDS)
     complete = check_complete_on(fx.relation, sample)
-    checks["relation_complete_on_sample"] = _verdict(complete, _HOLDS, "observed")
+    checks["relation_complete_on_sample"] = _verdict(complete, _HOLDS)
     _start_and_axiom_checks(fx, sample, checks, len(find_start_points(fx.relation, fx.map, sample)))
 
-    banach, mt = _classical_failure_counts(fx.map, fx.relation, sample)
-    checks["plain_metric_contraction_fails"] = {"pass": banach > 0, "failure_count": banach}
-    checks["displacement_contraction_fails"] = {"pass": mt > 0, "failure_count": mt}
-    est, est_diag = _sample_estimates(fx.map, fx.wdistance, fx.relation, sample)
+    _classical_checks(compare_classical(fx.map, fx.space, fx.relation, sample), checks)
+    est, est_diag = estimate_lambda(fx.map, fx.wdistance, fx.relation, sample)
     checks["pair_distance_contraction_on_sample"] = {
         "pass": est.is_contraction,
         "lambda_hat": est.lambda_hat,
@@ -326,7 +339,7 @@ def _battery_product_shrink(fx: Fixture, sample, checks, advisories):
     )
     _start_and_axiom_checks(fx, sample, checks, report.start_count)
     checks["theorem_hypotheses_verified"] = {
-        "pass": report.overall.value == "all_verified_on_sample"
+        "pass": report.overall is OverallVerdict.ALL_VERIFIED_ON_SAMPLE
         and abs(report.lambda_hat - fx.lambda_hint) <= 1e-12,
         "expected_lambda": fx.lambda_hint,
         "detail": report.to_record(),
@@ -349,14 +362,9 @@ def _battery_product_shrink(fx: Fixture, sample, checks, advisories):
     unique = _verdict(probe, UniquenessVerdict.UNIQUE_BY_CONDITION_1)
     checks["uniqueness_probe"] = _also(unique, probe.z is not None and probe.z.value == 0.0)
 
-    pair = [(scalar(1.0), scalar(0.75))]
-    comparison = compare_classical(fx.map, fx.space, fx.relation, pair)
-    row = comparison.rows[0]
-    checks["displacement_contraction_fails"] = {
-        "pass": len(comparison.mt_failures) == 1 and len(comparison.banach_failures) == 1,
-        "d_image": row.d_image,
-        "m_displacement": row.m_displacement,
-    }
+    # both off-diagonal pairs of {0.75, 1} fail both tests: d(Tx, Ty) = M(x, y) = 0.5
+    two_points = ScalarSample([0.75, 1.0])
+    _classical_checks(compare_classical(fx.map, fx.space, fx.relation, two_points), checks)
     return orbit
 
 
@@ -507,7 +515,7 @@ def run_solve_fbvp(config_path: Path, out_dir: Path) -> int:
     if solution.warning:
         advisories.append(solution.warning)
     checks["converged"] = {
-        "pass": solution.trace.stop_reason.value == "converged",
+        "pass": solution.trace.stop_reason is StopReason.CONVERGED,
         "iterations": solution.iterations,
     }
     checks["fixed_point_residual"] = {

@@ -1,19 +1,18 @@
 """Empirical contraction estimates and full hypothesis verification.
 
-``estimate_lambda`` measures the worst ratio p(Tx, Ty) / p(x, y) over related
-sampled pairs.  Pairs with p(x, y) = 0 are never divided through: they must
-map to p(Tx, Ty) = 0 and are otherwise recorded on a separate violation
-channel, since 0/0 is a hypothesis question rather than a number.  Diagonal
-pairs are excluded by default because a pair distance may be positive at a
-fixed point, which pins the ratio at 1; callers are expected to disclose the
-diagonal-included estimate alongside.  It and ``verify_theorem`` share one
-fold, which keeps the witnesses and zero-p violations as point indices.
+``estimate_lambda`` measures the worst ratio p(Tx, Ty) / p(x, y) over the
+related pairs of a sample.  Pairs with p(x, y) = 0 are never divided
+through: they must map to p(Tx, Ty) = 0 and are otherwise recorded on a
+separate violation channel, since 0/0 is a hypothesis question rather than a
+number.  It returns the estimate without the diagonal, because a pair
+distance may be positive at a fixed point, which pins the ratio at 1, and
+the estimate with it, for callers to disclose alongside.  ``verify_theorem``
+iterates with the first.
 
-``compare_classical`` measures the same map against the plain metric
-contraction and against the generalized displacement
-M(x, y) = max{d(x,y), d(x,Tx), d(y,Ty), (d(x,Ty) + d(y,Tx)) / 2}, recording
-every pair on which either comparison test fails; ``_classical_failure_counts``
-counts the failures of both tests over every related pair of a sample.
+``compare_classical`` measures the same map on the same pairs against the
+plain metric contraction and against the generalized displacement
+M(x, y) = max{d(x,y), d(x,Tx), d(y,Ty), (d(x,Ty) + d(y,Tx)) / 2}, counting
+the pairs on which either test fails.
 """
 
 from __future__ import annotations
@@ -22,12 +21,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
 from .engine import OrbitTrace, SelfMap, StopReason, iterate
-from .errors import DivergenceError, EstimationError, PreconditionError, ShapeError
+from .errors import DivergenceError, EstimationError, PreconditionError
 from .relations import (
     Relation,
     check_t_closed,
@@ -37,7 +35,6 @@ from .relations import (
 from .spaces import (
     MetricSpace,
     Point,
-    _Lazy,
     _Pairs,
     _pairs_in,
     as_sample,
@@ -110,18 +107,28 @@ class PairComparison:
 
 @dataclass(frozen=True)
 class ClassicalComparison:
-    rows: Sequence[PairComparison]
-    banach_failures: Sequence[PairComparison]
-    mt_failures: Sequence[PairComparison]
+    """The related-pair count, how many of those pairs fail the metric and
+    the displacement tests, and the first failing pair of each test in
+    row-major order (None when no pair fails it)."""
+
+    pairs: int
+    banach_failure_count: int
+    mt_failure_count: int
+    first_banach_failure: PairComparison | None
+    first_mt_failure: PairComparison | None
 
     def to_record(self) -> dict:
         return {
-            "pairs": len(self.rows),
-            "banach_failures": [r.to_record() for r in self.banach_failures[:10]],
-            "banach_failure_count": len(self.banach_failures),
-            "mt_failures": [r.to_record() for r in self.mt_failures[:10]],
-            "mt_failure_count": len(self.mt_failures),
+            "pairs": self.pairs,
+            "banach_failure_count": self.banach_failure_count,
+            "mt_failure_count": self.mt_failure_count,
+            "first_banach_failure": _record_or_none(self.first_banach_failure),
+            "first_mt_failure": _record_or_none(self.first_mt_failure),
         }
+
+
+def _record_or_none(row: PairComparison | None) -> dict | None:
+    return None if row is None else row.to_record()
 
 
 class OverallVerdict(Enum):
@@ -180,39 +187,41 @@ _SAME_POINT = Relation("same_point", points_equal, array=np.equal)
 
 
 class _WorstRatio:
-    """Running worst ratios p(Tx, Ty) / p(x, y) over blocks of pairs met in
-    order, without (entry 0) and with (entry 1) the diagonal: the first
-    maximum wins, and pairs with p(x, y) = 0 go to the zero-p channel
-    instead.  Witnesses and violations are kept as indices into ``points``."""
+    """Running worst ratios p(Tx, Ty) / p(x, y) over the row blocks of
+    ``points`` x ``points`` met in order, without (entry 0) and with (entry 1)
+    the diagonal: the first maximum wins, and pairs with p(x, y) = 0 go to
+    the zero-p channel instead.  Witnesses and violations are kept as
+    indices into ``points``."""
 
     def __init__(self, points: Sequence[Point]):
         self.points, self.violations = points, ([], [])
         self.best, self.witness = [0.0, 0.0], [None, None]
         self.checked, self.zero_pairs = [0, 0], [0, 0]
 
-    def add(self, same: np.ndarray, base: np.ndarray, image: np.ndarray, index: Callable) -> None:
-        """Fold in one block: the same-point mask (first, so that it is made
-        before the larger blocks), p(x, y) and p(Tx, Ty), NaN off the block's
-        pairs, and ``index(k)``, the point indices (i, j) at flat positions k.
-        ``image`` is turned into the ratios."""
+    def add(self, same: np.ndarray, base: np.ndarray, image: np.ndarray, rows: slice) -> None:
+        """Fold in the block of the rows ``rows`` of ``points`` x ``points``: the
+        same-point mask (first, so that it is made before the larger blocks),
+        p(x, y) and p(Tx, Ty), NaN off the block's pairs.  ``image`` is
+        turned into the ratios."""
         zero = base == 0.0
         positive = base > 0.0
         moved = zero & (image > 0.0)
         np.divide(image, base, out=image, where=positive)
         image[~positive] = -math.inf
-        self._fold(1, image, zero, positive, moved, index)
+        self._fold(1, image, zero, positive, moved, rows)
         image[same] = -math.inf
         for mask in (zero, positive, moved):
             mask[same] = False
-        self._fold(0, image, zero, positive, moved, index)
+        self._fold(0, image, zero, positive, moved, rows)
 
-    def _fold(self, e: int, ratios, zero, positive, moved, index) -> None:
+    def _fold(self, e: int, ratios, zero, positive, moved, rows) -> None:
+        m = len(self.points)
         self.checked[e] += int(np.count_nonzero(zero) + np.count_nonzero(positive))
         self.zero_pairs[e] += int(np.count_nonzero(zero))
-        self.violations[e].append(index(np.flatnonzero(moved)))
+        self.violations[e].append(_pair_index(rows, m, np.flatnonzero(moved)))
         worst = float(ratios.max(initial=-math.inf))
         if worst > -math.inf and (self.witness[e] is None or worst > self.best[e]):
-            self.best[e], self.witness[e] = worst, index(np.argmax(ratios))
+            self.best[e], self.witness[e] = worst, _pair_index(rows, m, np.argmax(ratios))
 
     def estimates(self) -> tuple[ContractionEstimate, ContractionEstimate]:
         out = []
@@ -228,34 +237,6 @@ class _WorstRatio:
         return out[0], out[1]
 
 
-def _index_pairs(
-    rel: Relation, pairs: Sequence[tuple[Point, Point]]
-) -> tuple[Sequence[Point], np.ndarray, np.ndarray]:
-    """The pairs' distinct points and index arrays with
-    ``pairs[k] == (points[i[k]], points[j[k]])``, all related under ``rel``.
-
-    Index-backed pairs give their own arrays; any other sequence is hashed
-    into its distinct points in order of first appearance.  Either way every
-    pair is checked against ``rel`` in one broadcast call."""
-    if isinstance(pairs, _Pairs):
-        points, i, j = pairs.points, pairs.i, pairs.j
-    else:
-        index: dict[Point, int] = {}
-        i, j = [], []
-        for pair in pairs:
-            try:
-                x, y = pair
-            except (TypeError, ValueError):
-                raise ShapeError(f"pair entries must be (x, y), got {pair!r}") from None
-            i.append(index.setdefault(x, len(index)))
-            j.append(index.setdefault(y, len(index)))
-        points = as_sample(index)
-        i, j = np.array(i, dtype=np.intp), np.array(j, dtype=np.intp)
-    if not rel.at(points, points, i, j).all():
-        raise PreconditionError(f"pair is not related under {rel.name}")
-    return points, i, j
-
-
 def _related_blocks(rel: Relation, sample: Sequence[Point]):
     """The row blocks ``rows`` of sample x sample, each with the bool mask of
     the related pairs in ``sample[rows]`` x ``sample``."""
@@ -264,13 +245,16 @@ def _related_blocks(rel: Relation, sample: Sequence[Point]):
         yield rows, rel.matrix(sample[rows], sample)
 
 
-def related_pairs(rel: Relation, sample: Sequence[Point]) -> Sequence[tuple[Point, Point]]:
-    """All related ordered pairs from sample x sample, in row-major order.
+def _pair_index(rows: slice, m: int, k):
+    """The sample indices (i, j) of the pairs at flat positions ``k`` of a
+    block of the rows ``rows`` of an m-column sample x sample array."""
+    return k // m + rows.start, k % m
 
-    The pairs are a sequence of ``(x, y)`` tuples held as index arrays into
-    the sample points that appear in some pair; ``estimate_lambda`` and
-    ``compare_classical`` read those arrays directly, and check each pair
-    against their own relation as they do any pair set."""
+
+def related_pairs(rel: Relation, sample: Sequence[Point]) -> Sequence[tuple[Point, Point]]:
+    """All related ordered pairs from sample x sample, in row-major order, as
+    a sequence of ``(x, y)`` tuples held as index arrays into the sample
+    points that appear in some pair."""
     sample = as_sample(sample)
     return _pairs_in(sample, ((rows, 0, related) for rows, related in _related_blocks(rel, sample)))
 
@@ -279,106 +263,17 @@ def estimate_lambda(
     map_: SelfMap,
     p: WDistance,
     rel: Relation,
-    pairs: Sequence[tuple[Point, Point]],
-    include_diagonal: bool = False,
-) -> ContractionEstimate:
-    """Worst-case contraction ratio over the supplied related pairs."""
-    points, i, j = _index_pairs(rel, pairs)
-    if not i.size:
-        raise EstimationError("cannot estimate a contraction factor from an empty pair set")
-    images = map_.apply_all(points)
-    worst = _WorstRatio(points)
-    worst.add(
-        _SAME_POINT.at(points, points, i, j), p.at(points, points, i, j),
-        p.at(images, images, i, j), lambda k: (i[k], j[k]),
-    )
-    return worst.estimates()[include_diagonal]
-
-
-def compare_classical(
-    map_: SelfMap,
-    space: MetricSpace,
-    rel: Relation,
-    pairs: Sequence[tuple[Point, Point]],
-) -> ClassicalComparison:
-    """Metric and generalized-displacement comparison on related pairs.
-
-    A pair lands in ``banach_failures`` when d(Tx, Ty) >= d(x, y) > 0 is
-    impossible to dominate with any factor below 1, and in ``mt_failures``
-    when d(Tx, Ty) >= M(x, y), which rules out every comparison function
-    that is strictly below the identity.  Every paired point must lie in
-    ``space``; the images need not.
-    """
-    points, i, j = _index_pairs(rel, pairs)
-    check_space(space, points)
-    images = map_.apply_all(points)
-    d = WDistance.from_metric()
-    d_to_image = d.at(points, images, range(len(points)), range(len(points)))
-    d_image, d_pair, displacement, banach, mt = _classical_tests(
-        lambda xs, ys: d.at(xs, ys, i, j), points, images, d_to_image[i], d_to_image[j]
-    )
-
-    def row(k: int) -> PairComparison:
-        return PairComparison(
-            points[i[k]], points[j[k]],
-            float(d_image[k]), float(d_pair[k]), float(displacement[k]),
-        )
-
-    banach, mt = np.flatnonzero(banach), np.flatnonzero(mt)
-    return ClassicalComparison(
-        _Lazy(i.size, row),
-        _Lazy(banach.size, lambda n: row(banach[n])),
-        _Lazy(mt.size, lambda n: row(mt[n])),
-    )
-
-
-def _classical_tests(dist: Callable, points, images, d_x_tx, d_y_ty) -> tuple:
-    """d(Tx, Ty), d(x, y), M(x, y) and the masks of the pairs that fail the
-    metric and the displacement tests (the image moved, and d(Tx, Ty) >=
-    d(x, y), or >= M(x, y)), given d(x, Tx), d(y, Ty) and ``dist(xs, ys)``,
-    the metric on the pairs with x from ``xs`` and y from ``ys``."""
-    d_image, d_pair = dist(images, images), dist(points, points)
-    d_cross = 0.5 * (dist(points, images) + dist(images, points))  # d(Tx, y) = d(y, Tx)
-    displacement = np.maximum(np.maximum(d_pair, d_x_tx), np.maximum(d_y_ty, d_cross))
-    moved = d_image > 0.0  # False where ``dist`` left NaN
-    banach, mt = moved & (d_image >= d_pair), moved & (d_image >= displacement)
-    return d_image, d_pair, displacement, banach, mt
-
-
-def _classical_failure_counts(map_: SelfMap, rel: Relation, sample: Sequence[Point]) -> tuple:
-    """How many related pairs of sample x sample fail the metric and the
-    displacement tests of ``compare_classical``.  The relation and the four
-    distances are evaluated a block of rows at a time and only the two
-    counts are kept, so no array spans all pairs."""
-    sample = as_sample(sample)
-    images = map_.apply_all(sample)
-    d = WDistance.from_metric()
-    d_to_image = d.at(sample, images, range(len(sample)), range(len(sample)))
-    banach = mt = 0
-    for rows, related in _related_blocks(rel, sample):
-        *_, banach_block, mt_block = _classical_tests(
-            lambda xs, ys: d.matrix(xs[rows], ys, where=related), sample, images,
-            d_to_image[rows, None], d_to_image[None, :],
-        )
-        banach += int(np.count_nonzero(banach_block))
-        mt += int(np.count_nonzero(mt_block))
-    return banach, mt
-
-
-def _sample_estimates(
-    map_: SelfMap,
-    p: WDistance,
-    rel: Relation,
     sample: Sequence[Point],
 ) -> tuple[ContractionEstimate, ContractionEstimate]:
-    """The estimates without and with the diagonal over every related sample
-    pair, however many there are.
+    """The worst contraction ratios over every related pair of sample x
+    sample, without and with the diagonal, however many pairs there are.
 
     The relation and the pair distances are evaluated a block of rows at a
     time, and the distances are folded into ratios in place, so no array
-    spans the whole sample x sample.
+    spans the whole sample x sample.  A sample with no related pair raises
+    ``EstimationError``.
     """
-    m = len(sample)
+    sample = as_sample(sample)
     images = map_.apply_all(sample)
     worst = _WorstRatio(sample)
     for rows, related in _related_blocks(rel, sample):
@@ -386,11 +281,59 @@ def _sample_estimates(
             _SAME_POINT.matrix(sample[rows], sample, where=related),
             p.matrix(sample[rows], sample, where=related),
             p.matrix(images[rows], images, where=related),
-            lambda k: (k // m + rows.start, k % m),
+            rows,
         )
     if not worst.checked[1]:
         raise EstimationError("cannot estimate a contraction factor from an empty pair set")
     return worst.estimates()
+
+
+def compare_classical(
+    map_: SelfMap,
+    space: MetricSpace,
+    rel: Relation,
+    sample: Sequence[Point],
+) -> ClassicalComparison:
+    """The metric and generalized-displacement tests on every related pair
+    of sample x sample.
+
+    A pair fails the metric test when its image moved and d(Tx, Ty) >=
+    d(x, y), which no factor below 1 can dominate, and the displacement test
+    when its image moved and d(Tx, Ty) >= M(x, y), which rules out every
+    comparison function strictly below the identity.  The relation and the
+    four distances are evaluated a block of rows at a time, and only the
+    counts and the first failing pair of each test are kept.  Every sample
+    point must lie in ``space``; the images need not.
+    """
+    sample = as_sample(sample)
+    check_space(space, sample)
+    m = len(sample)
+    images = map_.apply_all(sample)
+    d = WDistance.from_metric()
+    d_to_image = d.at(sample, images, range(m), range(m))
+    pairs, counts, first = 0, [0, 0], [None, None]
+    for rows, related in _related_blocks(rel, sample):
+        xs, txs = sample[rows], images[rows]
+        d_image = d.matrix(txs, images, where=related)
+        d_pair = d.matrix(xs, sample, where=related)
+        d_cross = 0.5 * (  # d(Tx, y) = d(y, Tx)
+            d.matrix(xs, images, where=related) + d.matrix(txs, sample, where=related)
+        )
+        displacement = np.maximum(
+            np.maximum(d_pair, d_to_image[rows, None]), np.maximum(d_to_image[None, :], d_cross)
+        )
+        moved = d_image > 0.0  # False off the related pairs, where the blocks hold NaN
+        pairs += int(np.count_nonzero(related))
+        for e, fails in enumerate((moved & (d_image >= d_pair), moved & (d_image >= displacement))):
+            counts[e] += int(np.count_nonzero(fails))
+            if first[e] is None and fails.any():
+                k = int(np.argmax(fails))
+                i, j = _pair_index(rows, m, k)
+                first[e] = PairComparison(
+                    sample[i], sample[j],
+                    float(d_image.flat[k]), float(d_pair.flat[k]), float(displacement.flat[k]),
+                )
+    return ClassicalComparison(pairs, *counts, *first)
 
 
 def verify_theorem(
@@ -426,7 +369,7 @@ def verify_theorem(
         reasons.append("relation is not map-closed on the sample")
 
     try:
-        estimate, estimate_diag = _sample_estimates(map_, p, rel, sample)
+        estimate, estimate_diag = estimate_lambda(map_, p, rel, sample)
     except EstimationError as exc:
         reasons.append(str(exc))
         empty = ContractionEstimate(math.inf, None, 0, 0, (), False)

@@ -30,7 +30,6 @@ from relfix import (
     lambda_tight,
     point_distance,
     probe_uniqueness,
-    related_pairs,
     rl_integral,
     rl_integral_nodes,
     sample_space,
@@ -55,15 +54,19 @@ def passed(number, label):
 
 def test_criterion_1_separation_of_the_pair_distance_route():
     fx = ordered_halving_fixture()
-    pair = [(scalar(2.0), scalar(1.0))]
-    comparison = compare_classical(fx.map, fx.space, fx.relation, pair)
-    row = comparison.rows[0]
+    # (2, 1) is the one related pair of {1, 2} off the diagonal, and the
+    # first that fails either classical test
+    sample = [scalar(1.0), scalar(2.0)]
+    comparison = compare_classical(fx.map, fx.space, fx.relation, sample)
+    row = comparison.first_banach_failure
+    assert (row.x.value, row.y.value) == (2.0, 1.0)
+    assert comparison.first_mt_failure == row
     assert abs(row.d_image - 1.5) <= 1e-12
     assert abs(row.d_pair - 1.0) <= 1e-12
     assert row.d_image > row.d_pair
     assert abs(row.m_displacement - 1.25) <= 1e-12
     assert row.m_displacement < row.d_image
-    estimate = estimate_lambda(fx.map, fx.wdistance, fx.relation, pair)
+    estimate, _ = estimate_lambda(fx.map, fx.wdistance, fx.relation, sample)
     assert abs(estimate.lambda_hat - 5.0 / 6.0) <= 1e-12
     passed(1, "metric fails while the pair distance contracts at (2, 1)")
 
@@ -71,8 +74,7 @@ def test_criterion_1_separation_of_the_pair_distance_route():
 def test_criterion_2_shrink_fixture_end_to_end():
     fx = product_shrink_fixture()
     sample = sample_space(fx.space, step=0.01)
-    pairs = related_pairs(fx.relation, sample)
-    estimate = estimate_lambda(fx.map, fx.wdistance, fx.relation, pairs)
+    estimate, _ = estimate_lambda(fx.map, fx.wdistance, fx.relation, sample)
     assert abs(estimate.lambda_hat - 0.75) <= 1e-12
 
     orbit = iterate(fx.map, scalar(2.0), fx.wdistance, 0.75, max_iter=60, tol=1e-9)

@@ -36,6 +36,7 @@ from relfix.engine import OrbitTrace, SelfMap, StopReason
 from relfix.errors import ConfigError, PreconditionError
 from relfix.relations import RelationProperty, RelationReport, Verdict, find_start_points
 from relfix.spaces import Grid, ScalarPoint, grid_fn, sample_space, scalar
+from relfix.verify import ClassicalComparison
 from relfix.wdistance import WDistance
 
 
@@ -673,7 +674,7 @@ class TestCheckRules:
         relfix.cli._BATTERIES[example_id](fx, sample, checks, [])
         return checks
 
-    def test_verdict_rule_records_the_keys_asked_for(self):
+    def test_verdict_rule_records_expected_observed_and_detail(self):
         holds = RelationReport(RelationProperty.T_CLOSED, (), 3)
         assert relfix.cli._verdict(holds, Verdict.HOLDS_ON_SAMPLE) == {
             "pass": True,
@@ -681,8 +682,41 @@ class TestCheckRules:
             "observed": "holds_on_sample",
             "detail": holds.to_record(),
         }
-        fails = relfix.cli._verdict(holds, Verdict.FAILS_WITH_WITNESS, "observed")
-        assert fails == {"pass": False, "observed": "holds_on_sample"}
+        assert relfix.cli._verdict(holds, Verdict.FAILS_WITH_WITNESS) == {
+            "pass": False,
+            "expected": "fails_with_witness",
+            "observed": "holds_on_sample",
+            "detail": holds.to_record(),
+        }
+
+    def test_every_verdict_check_records_the_same_evidence(self):
+        verdict_checks = {
+            "map_closed_fails", "weak_map_closed_holds", "completeness_fails_on_small_sample",
+            "lower_semicontinuity_left_approach", "lower_semicontinuity_right_approach",
+            "lower_semicontinuity_preserving_sequences", "plain_lower_semicontinuity_fails",
+            "map_closed_holds", "relation_complete_on_sample", "triangle_axiom",
+            "separation_axiom", "uniqueness_probe",
+        }
+        seen = set()
+        for example_id in relfix.cli._BATTERIES:
+            for name, check in self._battery(example_id).items():
+                if name in verdict_checks:
+                    seen.add(name)
+                    assert {"pass", "expected", "observed", "detail"} <= check.keys(), name
+        assert seen == verdict_checks
+
+    def test_classical_checks_record_the_count_and_the_first_failure(self):
+        checks = self._battery("Ex2_4")
+        first = {
+            "x": {"kind": "scalar", "value": 0.75}, "y": {"kind": "scalar", "value": 1.0},
+            "d_image": 0.5, "d_pair": 0.25, "m_displacement": 0.5,
+        }
+        for name in ("plain_metric_contraction_fails", "displacement_contraction_fails"):
+            assert checks[name] == {"pass": True, "failure_count": 2, "first_failure": first}
+        clean = ClassicalComparison(4, 0, 0, None, None)
+        relfix.cli._classical_checks(clean, checks)
+        for name in ("plain_metric_contraction_fails", "displacement_contraction_fails"):
+            assert checks[name] == {"pass": False, "failure_count": 0, "first_failure": None}
 
     @pytest.mark.parametrize("residual, stop, ok", [
         (1e-9, StopReason.CONVERGED, True),

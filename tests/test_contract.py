@@ -9,12 +9,14 @@ it (the call must raise a ``RelfixError``).  Each example puts at most one
 argument outside its domain, so every check is reached on its own.
 """
 
+import ast
 import importlib
 import inspect
 import math
 import warnings
 from enum import Enum
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relfix
+import relfix.cli
 from relfix import (
     FbvpProblem,
     Grid,
@@ -250,10 +253,9 @@ def test_every_public_numeric_argument_is_in_the_contract():
 # Adding or removing one means editing this list.
 SETTINGS = {
     "FbvpProblem(variant)", "Interval(hi_inclusive)", "Relation(array)", "SelfMap(array)",
-    "WDistance(array)", "check_rlsc(conv_tol)", "estimate_lambda(include_diagonal)",
-    "interval_space(hi_inclusive)", "iterate(max_iter)", "iterate(tol)",
-    "probe_uniqueness(z_hint)", "sample_space(count)", "sample_space(seed)",
-    "sample_space(step)", "solve_fbvp(max_iter)", "solve_fbvp(tol)",
+    "WDistance(array)", "check_rlsc(conv_tol)", "interval_space(hi_inclusive)",
+    "iterate(max_iter)", "iterate(tol)", "probe_uniqueness(z_hint)", "sample_space(count)",
+    "sample_space(seed)", "sample_space(step)", "solve_fbvp(max_iter)", "solve_fbvp(tol)",
 }
 
 
@@ -279,3 +281,17 @@ def test_package_exports_the_join_of_the_module_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(relfix, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_cli_imports_no_private_library_name():
+    # the command line is built from the library's public names only
+    tree = ast.parse(Path(relfix.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").rpartition(".")[2] in LIBRARY_MODULES
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"relfix.cli imports private library names: {private}"

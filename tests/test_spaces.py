@@ -128,7 +128,7 @@ NOT_THE_RIGHT_KIND = [
         id="check_w3",
     ),
     pytest.param(
-        lambda: compare_classical(SHRINK.map, None, SHRINK.relation, [SHRINK_SAMPLE[:2]]),
+        lambda: compare_classical(SHRINK.map, None, SHRINK.relation, SHRINK_SAMPLE),
         id="compare_classical",
     ),
     pytest.param(

@@ -16,10 +16,12 @@ import pytest
 
 import relfix.spaces
 from relfix import (
+    ClassicalComparison,
     ContractionEstimate,
     DomainError,
     GridFn,
     OverallVerdict,
+    PairComparison,
     Relation,
     SelfMap,
     ShapeError,
@@ -70,20 +72,15 @@ def battery(fx, sample):
     rel, map_, space = fx.relation, fx.map, fx.space
     p = fx.wdistance or WDistance.from_metric()
     coarse = sample[:: max(1, len(sample) // 25)]
-    pairs = related_pairs(rel, sample)
-    # every related pair for the estimates, a strided share of them for the
-    # six metric evaluations per pair of the classical comparison
-    some_pairs = pairs[:: max(1, len(pairs) // 5000)]
     seed = fx.orbit_seed or sample[0]
     out = {
         "t_closed": outcome(check_t_closed, rel, map_, sample),
         "weak_t_closed": outcome(check_weak_t_closed, rel, map_, sample),
         "start_points": outcome(find_start_points, rel, map_, sample),
         "complete": outcome(check_complete_on, rel, sample),
-        "pairs": ("returned", pairs),
-        "estimate": outcome(estimate_lambda, map_, p, rel, pairs),
-        "estimate_diag": outcome(estimate_lambda, map_, p, rel, pairs, include_diagonal=True),
-        "classical": outcome(compare_classical, map_, space, rel, some_pairs),
+        "pairs": outcome(related_pairs, rel, sample),
+        "estimates": outcome(estimate_lambda, map_, p, rel, sample),
+        "classical": outcome(compare_classical, map_, space, rel, sample),
         "triangle": outcome(check_triangle, p, coarse),
         "w3": outcome(check_w3, p, space, coarse, eps_grid=(0.5, 0.1)),
         "theorem": outcome(
@@ -275,10 +272,10 @@ def test_sample_estimates_hold_the_relation_and_a_few_row_blocks():
     sample = sample_space(fx.space, step=fx.default_step)
     m = len(sample)
     args = (fx.map, fx.wdistance, fx.relation, sample)
-    verify._sample_estimates(*args)
+    estimate_lambda(*args)
     tracemalloc.start()
     try:
-        plain, _ = verify._sample_estimates(*args)
+        plain, _ = estimate_lambda(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -330,7 +327,7 @@ def blocked_scans(fx, p, sample):
         "weak_t_closed": list(check_weak_t_closed(fx.relation, fx.map, sample).witnesses),
         "complete": list(check_complete_on(fx.relation, sample).witnesses),
         "related": list(related_pairs(fx.relation, sample)),
-        "estimates": verify._sample_estimates(fx.map, p, fx.relation, sample),
+        "estimates": estimate_lambda(fx.map, p, fx.relation, sample),
     }
 
 
@@ -365,20 +362,28 @@ def test_row_block_scans_match_dense_arrays(key, seed, per_pair, monkeypatch):
         assert want[FAILING_SCAN[key]]
 
 
-def dense_classical_counts(fx, v):
-    """How many related pairs of the points with values ``v`` fail the metric
-    and the displacement contraction tests, from whole m x m numpy arrays."""
+def dense_classical(fx, v):
+    """The classical comparison on the points with values ``v``, from whole
+    m x m numpy arrays: the related-pair count, how many related pairs fail
+    the metric and the displacement contraction tests, and the first of
+    each in row-major order."""
     w = fx.map.array(v)
     x, y, tx, ty = v[:, None], v[None, :], w[:, None], w[None, :]
     d_pair, d_image = np.abs(x - y), np.abs(tx - ty)
     displacement = np.maximum.reduce(np.broadcast_arrays(
         d_pair, np.abs(x - tx), np.abs(y - ty), (np.abs(x - ty) + np.abs(y - tx)) / 2
     ))
-    moved = fx.relation.array(x, y) & (d_image > 0.0)
-    return (
-        int(np.count_nonzero(moved & (d_image >= d_pair))),
-        int(np.count_nonzero(moved & (d_image >= displacement))),
-    )
+    related = np.broadcast_to(fx.relation.array(x, y), d_pair.shape)
+    moved = related & (d_image > 0.0)
+    counts, first = [], []
+    for fails in (moved & (d_image >= d_pair), moved & (d_image >= displacement)):
+        counts.append(int(np.count_nonzero(fails)))
+        i, j = np.argwhere(fails)[0] if fails.any() else (None, None)
+        first.append(None if i is None else PairComparison(
+            scalar(v[i]), scalar(v[j]),
+            float(d_image[i, j]), float(d_pair[i, j]), float(displacement[i, j]),
+        ))
+    return ClassicalComparison(int(np.count_nonzero(related)), *counts, *first)
 
 
 @pytest.mark.parametrize("per_pair", [False, True], ids=["broadcast", "per-pair"])
@@ -391,14 +396,14 @@ def test_classical_failure_counts_match_dense_arrays(key, seed, per_pair, monkey
     lattice = sample_space(fx.space, step=fx.default_step).values
     values = np.random.default_rng(seed).choice(lattice, size=40)
     monkeypatch.setattr(relfix.spaces, "BLOCK_ELEMENTS", 64)
-    want = dense_classical_counts(fx, values)
+    want = dense_classical(fx, values)
     if per_pair:
         fx = per_pair_copy(fx)
     sample = [scalar(v) for v in values]
-    got = verify._classical_failure_counts(fx.map, fx.relation, sample)
+    got = compare_classical(fx.map, fx.space, fx.relation, sample)
     assert got == want
     if key == "Ex2_3":
-        assert min(got) > 0
+        assert got.first_banach_failure is not None and got.first_mt_failure is not None
 
 
 def test_pairwise_scans_hold_no_m_by_m_array():
@@ -411,8 +416,8 @@ def test_pairwise_scans_hold_no_m_by_m_array():
     scans = {
         "t_closed": lambda: check_t_closed(fx.relation, fx.map, sample).witnesses,
         "complete": lambda: check_complete_on(fx.relation, sample).witnesses,
-        "estimates": lambda: verify._sample_estimates(fx.map, fx.wdistance, fx.relation, sample),
-        "classical": lambda: verify._classical_failure_counts(fx.map, fx.relation, sample),
+        "estimates": lambda: estimate_lambda(fx.map, fx.wdistance, fx.relation, sample),
+        "classical": lambda: compare_classical(fx.map, fx.space, fx.relation, sample),
     }
     kept, results = {}, {}
     for name, scan in scans.items():
@@ -428,8 +433,10 @@ def test_pairwise_scans_hold_no_m_by_m_array():
     # 2,000 points above 1, a quarter of the unordered pairs
     assert kept["complete"] == 2000 * 2001 // 2
     assert kept["t_closed"] == 0
-    # the classical scan keeps two counts over all 16 million pairs
-    assert all(count > 0 for count in results["classical"])
+    # the classical scan keeps counts over all 16 million pairs
+    classical = results["classical"]
+    assert classical.pairs > classical.mt_failure_count > 0
+    assert classical.banach_failure_count > 0
 
 
 def traced_peak(fn):
@@ -450,16 +457,10 @@ def test_zero_p_violations_stay_index_arrays():
     rel = universal_relation()
     shift = SelfMap.elementwise("shift_by_two", lambda v: v + 2.0)
     p = WDistance.elementwise("above_one", lambda x, y: np.maximum(y - 1.0, 0.0) + 0.0 * x)
-    pairs = related_pairs(rel, sample)
-    estimates = {
-        "sample": lambda: verify._sample_estimates(shift, p, rel, sample)[0],
-        "pairs": lambda: estimate_lambda(shift, p, rel, pairs),
-    }
-    for name, estimate in estimates.items():
-        est, peak = traced_peak(estimate)
-        assert len(est.zero_p_violations) == 159_600, name
-        assert est.zero_p_violations[0] == (sample[0], sample[1]), name
-        assert peak < 16 * 2**20, (name, peak)
+    (est, _), peak = traced_peak(lambda: estimate_lambda(shift, p, rel, sample))
+    assert len(est.zero_p_violations) == 159_600
+    assert est.zero_p_violations[0] == (sample[0], sample[1])
+    assert peak < 16 * 2**20, peak
 
 
 def test_cauchy_violations_stay_index_arrays():
@@ -508,7 +509,7 @@ def test_approach_batteries_build_only_the_points_they_read(key, tmp_path, monke
 
 def test_space_check_builds_at_most_the_first_point_outside(monkeypatch):
     fx = FIXTURES["Ex2_3"]()
-    pairs = related_pairs(fx.relation, sample_space(fx.space, step=0.002))
+    sample = sample_space(fx.space, step=0.002)
     builds = PointBuilds(monkeypatch)
     inside = []
     check_space = verify.check_space
@@ -519,7 +520,7 @@ def test_space_check_builds_at_most_the_first_point_outside(monkeypatch):
         inside.append(builds.count - before)
 
     monkeypatch.setattr(verify, "check_space", counted)
-    compare_classical(fx.map, fx.space, fx.relation, pairs)
+    compare_classical(fx.map, fx.space, fx.relation, sample)
     assert len(inside) == 1 and inside[0] <= 1, inside
 
 

@@ -11,6 +11,7 @@ import relfix.spaces
 import relfix.verify
 import relfix.wdistance
 from relfix import (
+    ClassicalComparison,
     ContractionEstimate,
     EstimationError,
     Grid,
@@ -64,34 +65,36 @@ def pair(a, b):
 class TestEstimateLambda:
     def test_shrink_lattice_supremum_is_three_quarters(self):
         sample = sample_space(SHRINK.space, step=0.01)
-        pairs = related_pairs(SHRINK.relation, sample)
-        est = estimate_lambda(SHRINK.map, SHRINK.wdistance, SHRINK.relation, pairs)
+        est, _ = estimate_lambda(SHRINK.map, SHRINK.wdistance, SHRINK.relation, sample)
         assert abs(est.lambda_hat - 0.75) <= 1e-12
         assert est.witness_pair[1].value in (1.0, 2.0)
         assert est.zero_p_violations == ()
 
     def test_halving_single_pair_ratio(self):
-        est = estimate_lambda(
-            HALVING.map, HALVING.wdistance, HALVING.relation, [pair(2.0, 1.0)]
+        # (2, 1) is the one related pair of {1, 2} off the diagonal
+        est, _ = estimate_lambda(
+            HALVING.map, HALVING.wdistance, HALVING.relation, [scalar(1.0), scalar(2.0)]
         )
         assert abs(est.lambda_hat - 5.0 / 6.0) <= 1e-12
+        assert est.pairs_checked == 1 and est.witness_pair == pair(2.0, 1.0)
 
     def test_identity_map_is_not_a_contraction(self):
         rel = HALVING.relation
-        pairs = related_pairs(rel, [scalar(v) for v in (1.0, 1.5, 2.0)])
-        est = estimate_lambda(SelfMap.identity(), WDistance.from_metric(), rel, pairs)
+        sample = [scalar(v) for v in (1.0, 1.5, 2.0)]
+        est, _ = estimate_lambda(SelfMap.identity(), WDistance.from_metric(), rel, sample)
         assert est.lambda_hat == 1.0
         assert not est.is_contraction
 
     def test_zero_p_pairs_use_violation_channel(self):
-        # p(x, y) = y vanishes when y = 0; the image pair must vanish too
-        pairs = [pair(1.0, 0.0)]
-        est = estimate_lambda(SHRINK.map, SHRINK.wdistance, SHRINK.relation, pairs)
+        # p(x, y) = y vanishes when y = 0; the image pair must vanish too.
+        # Of the related pairs of {0, 1} off the diagonal, (1, 0) has y = 0.
+        sample = [scalar(0.0), scalar(1.0)]
+        est, _ = estimate_lambda(SHRINK.map, SHRINK.wdistance, SHRINK.relation, sample)
         assert est.zero_p_pairs == 1
         assert est.zero_p_violations == ()
         shift = SelfMap.on_scalars("shift_up", lambda v: v + 0.5)
-        est_bad = estimate_lambda(shift, SHRINK.wdistance, SHRINK.relation, pairs)
-        assert len(est_bad.zero_p_violations) == 1
+        est_bad, _ = estimate_lambda(shift, SHRINK.wdistance, SHRINK.relation, sample)
+        assert est_bad.zero_p_violations == (pair(1.0, 0.0),)
         assert not est_bad.is_contraction
 
     def test_diagonal_zero_p_violation_counts_only_with_the_diagonal(self):
@@ -101,40 +104,33 @@ class TestEstimateLambda:
         rel = Relation.elementwise("ascending", lambda x, y: x <= y)
         shift = SelfMap.elementwise("shift_up", lambda v: v + 0.5)
         p = WDistance.elementwise("second_coordinate", lambda x, y: y + 0.0 * x)
-        pairs = related_pairs(rel, sample)
-        scanned = relfix.verify._sample_estimates(shift, p, rel, sample)
+        estimates = estimate_lambda(shift, p, rel, sample)
         for diagonal, want in ((False, ()), (True, (pair(0.0, 0.0),))):
-            for est in (scanned[diagonal], estimate_lambda(shift, p, rel, pairs, diagonal)):
-                assert est.include_diagonal is diagonal
-                assert est.zero_p_pairs == len(want)
-                assert est.zero_p_violations == want
+            est = estimates[diagonal]
+            assert est.include_diagonal is diagonal
+            assert est.zero_p_pairs == len(want)
+            assert est.zero_p_violations == want
 
-    def test_diagonal_excluded_by_default(self):
-        pairs = [pair(2.0, 2.0), pair(2.0, 1.0)]
-        est = estimate_lambda(HALVING.map, HALVING.wdistance, HALVING.relation, pairs)
+    def test_diagonal_only_in_the_second_estimate(self):
+        # the related pairs of {1, 2} are (1, 1), (2, 1) and (2, 2); T fixes 2
+        sample = [scalar(1.0), scalar(2.0)]
+        est, est_diag = estimate_lambda(HALVING.map, HALVING.wdistance, HALVING.relation, sample)
         assert est.pairs_checked == 1
-        est_diag = estimate_lambda(
-            HALVING.map, HALVING.wdistance, HALVING.relation, pairs, include_diagonal=True
-        )
-        assert est_diag.pairs_checked == 2
+        assert est_diag.pairs_checked == 3
         assert est_diag.lambda_hat == 1.0
 
     def test_diagonal_pairs_alone_are_not_a_contraction(self):
-        pairs = related_pairs(EQUAL, [scalar(2.0), scalar(3.0)])
-        est = estimate_lambda(DOUBLE, WDistance.from_metric(), EQUAL, pairs)
+        est, _ = estimate_lambda(DOUBLE, WDistance.from_metric(), EQUAL, [scalar(2.0), scalar(3.0)])
         assert (est.lambda_hat, est.pairs_checked) == (0.0, 0)
         assert not est.is_contraction
         assert not est.to_record()["is_contraction"]
 
-    def test_unrelated_pair_rejected(self):
-        with pytest.raises(PreconditionError):
-            estimate_lambda(
-                HALVING.map, HALVING.wdistance, HALVING.relation, [pair(1.0, 2.0)]
-            )
-
     def test_empty_pair_set_rejected(self):
-        with pytest.raises(EstimationError):
-            estimate_lambda(HALVING.map, HALVING.wdistance, HALVING.relation, [])
+        # an empty sample, and a sample whose points relate to nothing
+        above_five = Relation.elementwise("from_above_five", lambda x, y: x > 5.0)
+        for rel, sample in ((HALVING.relation, []), (above_five, [scalar(0.0), scalar(1.0)])):
+            with pytest.raises(EstimationError, match="empty pair set"):
+                estimate_lambda(HALVING.map, HALVING.wdistance, rel, sample)
 
     def test_related_pairs_are_every_related_pair_in_row_major_order(self):
         sample = sample_space(SHRINK.space, step=0.05)
@@ -145,74 +141,61 @@ class TestEstimateLambda:
 
     def test_max_property_bounds_every_checked_pair(self):
         sample = sample_space(SHRINK.space, step=0.05)
-        pairs = related_pairs(SHRINK.relation, sample)
-        est = estimate_lambda(SHRINK.map, SHRINK.wdistance, SHRINK.relation, pairs)
-        for x, y in pairs:
+        est, _ = estimate_lambda(SHRINK.map, SHRINK.wdistance, SHRINK.relation, sample)
+        for x, y in related_pairs(SHRINK.relation, sample):
             base = SHRINK.wdistance(x, y)
             if base > 0.0 and x.value != y.value:
                 image = SHRINK.wdistance(SHRINK.map.apply(x), SHRINK.map.apply(y))
                 assert est.lambda_hat * base >= image - 1e-12
 
 
+@pytest.mark.parametrize("entry", [None, pair(1.0, 2.0), 2.0], ids=["none", "pair", "float"])
+def test_sample_entries_that_are_not_points_rejected(entry):
+    with pytest.raises(ShapeError, match="expected a scalar point"):
+        estimate_lambda(HALVING.map, HALVING.wdistance, HALVING.relation, [scalar(1.0), entry])
+
+
+def classical(map_, space, rel, values):
+    return compare_classical(map_, space, rel, [scalar(v) for v in values])
+
+
 class TestCompareClassical:
     def test_halving_pair_values(self):
-        comparison = compare_classical(
-            HALVING.map, HALVING.space, HALVING.relation, [pair(2.0, 1.0)]
-        )
-        row = comparison.rows[0]
+        # the related pairs of {1, 2} are (1, 1), (2, 1) and (2, 2)
+        comparison = classical(HALVING.map, HALVING.space, HALVING.relation, (1.0, 2.0))
+        row = comparison.first_banach_failure
+        assert (row.x, row.y) == pair(2.0, 1.0)
         assert row.d_image == 1.5
         assert row.d_pair == 1.0
         assert row.m_displacement == 1.25
-        assert comparison.banach_failures == (row,)
-        assert comparison.mt_failures == (row,)
+        assert comparison.first_mt_failure == row
+        assert (comparison.pairs, comparison.banach_failure_count) == (3, 1)
+        assert comparison.mt_failure_count == 1
 
     def test_shrink_displacement_equality_pair(self):
-        comparison = compare_classical(
-            SHRINK.map, SHRINK.space, SHRINK.relation, [pair(1.0, 0.75)]
-        )
-        row = comparison.rows[0]
+        # (0.75, 1) and (1, 0.75) both fail, the first in row-major order
+        comparison = classical(SHRINK.map, SHRINK.space, SHRINK.relation, (0.75, 1.0))
+        row = comparison.first_mt_failure
+        assert (row.x, row.y) == pair(0.75, 1.0)
         assert row.d_image == 0.5
         assert row.m_displacement == 0.5
-        assert len(comparison.mt_failures) == 1
+        assert comparison.mt_failure_count == 2
 
     def test_contractive_pair_reported_clean(self):
-        comparison = compare_classical(
-            SHRINK.map, SHRINK.space, SHRINK.relation, [pair(0.5, 0.25)]
-        )
-        assert comparison.banach_failures == ()
-        assert comparison.mt_failures == ()
+        comparison = classical(SHRINK.map, SHRINK.space, SHRINK.relation, (0.25, 0.5))
+        assert comparison.pairs == 4
+        assert comparison.banach_failure_count == comparison.mt_failure_count == 0
+        assert comparison.first_banach_failure is comparison.first_mt_failure is None
+        assert comparison.to_record()["first_mt_failure"] is None
 
     def test_headline_separation(self):
         # the metric expands the pair while the pair-distance ratio stays 5/6
-        comparison = compare_classical(
-            HALVING.map, HALVING.space, HALVING.relation, [pair(2.0, 1.0)]
-        )
-        assert len(comparison.banach_failures) == 1
-        est = estimate_lambda(
-            HALVING.map, HALVING.wdistance, HALVING.relation, [pair(2.0, 1.0)]
+        comparison = classical(HALVING.map, HALVING.space, HALVING.relation, (1.0, 2.0))
+        assert comparison.banach_failure_count == 1
+        est, _ = estimate_lambda(
+            HALVING.map, HALVING.wdistance, HALVING.relation, [scalar(1.0), scalar(2.0)]
         )
         assert est.lambda_hat < 1.0
-
-
-MALFORMED_PAIRS = [
-    pytest.param(estimate_lambda, HALVING.wdistance, [(scalar(1.0),)], id="estimate-1-tuple"),
-    pytest.param(
-        estimate_lambda, HALVING.wdistance, [(scalar(2.0), scalar(1.0), scalar(0.5))],
-        id="estimate-3-tuple",
-    ),
-    pytest.param(estimate_lambda, HALVING.wdistance, [pair(2.0, 1.0), None], id="estimate-none"),
-    pytest.param(compare_classical, HALVING.space, [scalar(1.0)], id="classical-bare-point"),
-    pytest.param(
-        compare_classical, HALVING.space, [pair(2.0, 1.0), (scalar(1.0),)],
-        id="classical-1-tuple",
-    ),
-]
-
-
-@pytest.mark.parametrize("check, metric, pairs", MALFORMED_PAIRS)
-def test_malformed_pair_entries_rejected(check, metric, pairs):
-    with pytest.raises(ShapeError, match="pair entries"):
-        check(HALVING.map, metric, HALVING.relation, pairs)
 
 
 def outcome(fn, *args, **kwargs):
@@ -231,8 +214,8 @@ def fixture_sample(key, refine):
 @pytest.mark.parametrize("refine", [1, 2])
 @pytest.mark.parametrize("key", sorted(FIXTURES))
 class TestPairSet:
-    """``related_pairs`` against the pair list it stands for, and the checks
-    on it against the same checks on that plain list."""
+    """``related_pairs`` against the pair list it stands for, and the sample
+    scans against plain loops over that list."""
 
     def test_reads_as_the_pair_list(self, key, refine):
         fx, sample = fixture_sample(key, refine)
@@ -248,40 +231,28 @@ class TestPairSet:
     def test_checks_match_the_plain_list(self, key, refine):
         fx, sample = fixture_sample(key, refine)
         p = fx.wdistance or WDistance.from_metric()
+        assert outcome(estimate_lambda, fx.map, p, fx.relation, sample) == outcome(
+            scan_estimates, fx.map, p, fx.relation, sample
+        )
+        comparison = compare_classical(fx.map, fx.space, fx.relation, sample)
+        assert comparison == scan_classical(fx.map, fx.relation, sample)
 
-        def record(ps):
-            return compare_classical(fx.map, fx.space, fx.relation, ps).to_record()
-
-        # closure witnesses are related pairs too, re-checked as untagged
-        for pairs in (
-            related_pairs(fx.relation, sample),
-            check_t_closed(fx.relation, fx.map, sample).witnesses,
-        ):
-            listed = list(pairs)
-            for include_diagonal in (False, True):
-                assert outcome(
-                    estimate_lambda, fx.map, p, fx.relation, pairs, include_diagonal
-                ) == outcome(estimate_lambda, fx.map, p, fx.relation, listed, include_diagonal)
-            assert outcome(record, pairs) == outcome(record, listed)
-
-    def test_other_relation_is_rechecked(self, key, refine):
+    def test_scans_read_the_relation_they_are_given(self, key, refine):
         fx, sample = fixture_sample(key, refine)
         p = fx.wdistance or WDistance.from_metric()
         copied = dataclasses.replace(fx.relation)
         assert copied is not fx.relation
-        own = related_pairs(fx.relation, sample)
-        assert outcome(estimate_lambda, fx.map, p, fx.relation, own) == outcome(
-            estimate_lambda, fx.map, p, fx.relation, related_pairs(copied, sample)
+        assert outcome(estimate_lambda, fx.map, p, copied, sample) == outcome(
+            estimate_lambda, fx.map, p, fx.relation, sample
         )
-        every = related_pairs(universal_relation(), sample)
-        unrelated = check_complete_on(fx.relation, sample).witnesses
-        for foreign in (every, unrelated):
-            if not foreign:  # Ex2_3's relation is complete on its samples
-                continue
-            with pytest.raises(PreconditionError, match="not related"):
-                estimate_lambda(fx.map, p, fx.relation, foreign)
-            with pytest.raises(PreconditionError, match="not related"):
-                compare_classical(fx.map, fx.space, fx.relation, foreign)
+        assert compare_classical(fx.map, fx.space, copied, sample) == compare_classical(
+            fx.map, fx.space, fx.relation, sample
+        )
+        # every pair of the sample relates under the universal relation
+        every = universal_relation()
+        _, with_diagonal = estimate_lambda(fx.map, p, every, sample)
+        assert with_diagonal.pairs_checked == len(sample) ** 2
+        assert compare_classical(fx.map, fx.space, every, sample).pairs == len(sample) ** 2
 
 
 def test_pair_set_index_out_of_range():
@@ -293,9 +264,8 @@ def test_pair_set_index_out_of_range():
             pairs[k]
 
 
-def test_comparison_rows_built_only_when_read(monkeypatch):
+def test_comparison_builds_only_its_first_failures(monkeypatch):
     sample = sample_space(HALVING.space, step=0.01)
-    pairs = related_pairs(HALVING.relation, sample)
     built = []
     init = PairComparison.__init__
 
@@ -304,14 +274,13 @@ def test_comparison_rows_built_only_when_read(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(PairComparison, "__init__", counted_init)
-    comparison = compare_classical(HALVING.map, HALVING.space, HALVING.relation, pairs)
+    comparison = compare_classical(HALVING.map, HALVING.space, HALVING.relation, sample)
     record = comparison.to_record()
-    first = comparison.rows[0]
-    assert isinstance(first, PairComparison) and (first.x, first.y) == pairs[0]
-    assert record["pairs"] == len(pairs) > 20_000
+    assert record["pairs"] == len(related_pairs(HALVING.relation, sample)) > 20_000
     assert record["banach_failure_count"] == record["mt_failure_count"] == 7530
-    assert len(record["banach_failures"]) == len(record["mt_failures"]) == 10
-    assert len(built) <= 21
+    first = comparison.first_banach_failure
+    assert (first.x, first.y) == pair(2.0, 1.0) and comparison.first_mt_failure == first
+    assert len(built) == 2
 
 
 class TestDistinctPoints:
@@ -323,19 +292,18 @@ class TestDistinctPoints:
             return v / 2.0 if v < 2.0 else 2.0
 
         counted = SelfMap.on_scalars("capped_halving", capped_halving)
-        pairs = related_pairs(HALVING.relation, [scalar(v) for v in (1.0, 1.5, 2.0, 2.5)])
-        assert len(pairs) == 10
-        est = estimate_lambda(counted, HALVING.wdistance, HALVING.relation, pairs)
+        sample = [scalar(v) for v in (1.0, 1.5, 2.0, 2.5)]
+        est = estimate_lambda(counted, HALVING.wdistance, HALVING.relation, sample)
         assert sorted(calls) == [1.0, 1.5, 2.0, 2.5]
-        assert est == estimate_lambda(HALVING.map, HALVING.wdistance, HALVING.relation, pairs)
+        assert est == estimate_lambda(HALVING.map, HALVING.wdistance, HALVING.relation, sample)
         calls.clear()
-        comparison = compare_classical(counted, HALVING.space, HALVING.relation, pairs)
+        comparison = compare_classical(counted, HALVING.space, HALVING.relation, sample)
         assert sorted(calls) == [1.0, 1.5, 2.0, 2.5]
         assert comparison == compare_classical(
-            HALVING.map, HALVING.space, HALVING.relation, pairs
+            HALVING.map, HALVING.space, HALVING.relation, sample
         )
 
-    def test_every_pair_set_is_rechecked_once_per_pair(self):
+    def test_relation_is_evaluated_once_per_sample_pair(self):
         calls = []
 
         def at_most(x, y):
@@ -343,15 +311,14 @@ class TestDistinctPoints:
             return x <= y
 
         rel = Relation.on_scalars("at_most", at_most)
-        pairs = related_pairs(rel, [scalar(v) for v in (0.5, 1.0, 1.5, 2.0)])
-        assert len(pairs) == 10
+        sample = [scalar(v) for v in (0.5, 1.0, 1.5, 2.0)]
         for check in (
-            lambda: estimate_lambda(SHRINK.map, SHRINK.wdistance, rel, pairs),
-            lambda: compare_classical(SHRINK.map, SHRINK.space, rel, pairs),
+            lambda: estimate_lambda(SHRINK.map, SHRINK.wdistance, rel, sample),
+            lambda: compare_classical(SHRINK.map, SHRINK.space, rel, sample),
         ):
             calls.clear()
             check()
-            assert sorted(calls) == sorted((x.value, y.value) for x, y in pairs)
+            assert sorted(calls) == sorted((x.value, y.value) for x in sample for y in sample)
 
     def test_point_moves_measured_once_per_distinct_point(self, monkeypatch):
         # grid functions take the per-pair path, one metric call per distance
@@ -359,8 +326,7 @@ class TestDistinctPoints:
         sample = sample_space(function_space(grid), count=4, seed=1)
         halve = SelfMap.on_grids("halve", lambda v: v / 2.0)
         rel = universal_relation()
-        pairs = related_pairs(rel, sample)
-        expected = compare_classical(halve, function_space(grid), rel, pairs)
+        expected = compare_classical(halve, function_space(grid), rel, sample)
         calls = []
 
         def counted(x, y):
@@ -368,10 +334,10 @@ class TestDistinctPoints:
             return point_distance(x, y)
 
         monkeypatch.setattr(relfix.wdistance, "point_distance", counted)
-        comparison = compare_classical(halve, function_space(grid), rel, pairs)
-        assert len(calls) == 4 * len(pairs) + len(sample)
+        comparison = compare_classical(halve, function_space(grid), rel, sample)
+        assert len(calls) == 4 * len(sample) ** 2 + len(sample)
         assert comparison.to_record() == expected.to_record()
-        assert list(comparison.rows) == list(expected.rows)
+        assert comparison == expected
 
 
 OUTSIDE_THE_SPACE = [
@@ -389,7 +355,7 @@ OUTSIDE_THE_SPACE = [
 def test_sample_points_outside_the_space_rejected(space, sample):
     rel = universal_relation()
     with pytest.raises(PreconditionError, match="outside the space"):
-        compare_classical(SelfMap.identity(), space, rel, [tuple(sample)])
+        compare_classical(SelfMap.identity(), space, rel, sample)
     with pytest.raises(PreconditionError, match="outside the space"):
         check_w3(WDistance.from_metric(), space, sample, eps_grid=(0.5,))
 
@@ -399,8 +365,8 @@ def test_images_may_leave_the_space():
     fx = FIXTURES["Ex2_3"]()
     sample = sample_space(fx.space, step=fx.default_step)
     assert not all(fx.space.contains(pt) for pt in fx.map.apply_all(sample))
-    pairs = related_pairs(fx.relation, sample)
-    assert len(compare_classical(fx.map, fx.space, fx.relation, pairs).rows) == len(pairs) > 0
+    comparison = compare_classical(fx.map, fx.space, fx.relation, sample)
+    assert comparison.pairs == len(related_pairs(fx.relation, sample)) > 0
 
 
 class TestVerifyTheorem:
@@ -520,27 +486,32 @@ class TestVerifyTheorem:
     extra_size=st.integers(min_value=1, max_value=20),
 )
 def test_estimate_monotone_in_pair_set(subset_size, extra_size):
+    # the related pairs of a sample's first points are some of its own
     sample = sample_space(SHRINK.space, step=0.05)
-    pairs = related_pairs(SHRINK.relation, sample)
-    base = pairs[:subset_size]
-    bigger = base + pairs[subset_size : subset_size + extra_size]
-    est_small = estimate_lambda(SHRINK.map, SHRINK.wdistance, SHRINK.relation, base)
-    est_big = estimate_lambda(SHRINK.map, SHRINK.wdistance, SHRINK.relation, bigger)
+    base = sample[: subset_size + 1]
+    bigger = sample[: subset_size + 1 + extra_size]
+    est_small, _ = estimate_lambda(SHRINK.map, SHRINK.wdistance, SHRINK.relation, base)
+    est_big, _ = estimate_lambda(SHRINK.map, SHRINK.wdistance, SHRINK.relation, bigger)
     assert est_big.lambda_hat >= est_small.lambda_hat
 
 
 def scan_estimates(map_, p, rel, sample):
     """Both contraction estimates, without and then with the diagonal, by a
     plain scan of every related sample pair in row-major order."""
-    related = [(x, y) for x in sample for y in sample if rel(x, y)]
+    images = [map_.apply(x) for x in sample]
+    related = [(a, b) for a in range(len(sample)) for b in range(len(sample))
+               if rel(sample[a], sample[b])]
+    if not related:
+        raise EstimationError("cannot estimate a contraction factor from an empty pair set")
     estimates = []
     for include_diagonal in (False, True):
         best, witness, checked, zero, violations = 0.0, None, 0, 0, []
-        for x, y in related:
+        for a, b in related:
+            x, y = sample[a], sample[b]
             if not include_diagonal and x == y:
                 continue
             checked += 1
-            base, image = p(x, y), p(map_.apply(x), map_.apply(y))
+            base, image = p(x, y), p(images[a], images[b])
             if base == 0.0:
                 zero += 1
                 violations += [(x, y)] if image > 0.0 else []
@@ -550,6 +521,28 @@ def scan_estimates(map_, p, rel, sample):
             ContractionEstimate(best, witness, checked, zero, tuple(violations), include_diagonal)
         )
     return tuple(estimates)
+
+
+def scan_classical(map_, rel, sample):
+    """The classical comparison by a plain scan of every related sample pair
+    in row-major order."""
+    images = [map_.apply(x) for x in sample]
+    pairs, counts, first = 0, [0, 0], [None, None]
+    for x, tx in zip(sample, images):
+        for y, ty in zip(sample, images):
+            if not rel(x, y):
+                continue
+            pairs += 1
+            d_image, d_pair = point_distance(tx, ty), point_distance(x, y)
+            m = max(
+                d_pair, point_distance(x, tx), point_distance(y, ty),
+                (point_distance(x, ty) + point_distance(y, tx)) / 2,
+            )
+            for e, bound in enumerate((d_pair, m)):
+                if 0.0 < d_image and bound <= d_image:
+                    counts[e] += 1
+                    first[e] = first[e] or PairComparison(x, y, d_image, d_pair, m)
+    return ClassicalComparison(pairs, *counts, *first)
 
 
 # p(x, y) = 0 on every pair with y <= x, so pairs that the fold map reverses
@@ -610,7 +603,7 @@ def test_sample_estimates_match_a_plain_scan(
     want = scan_estimates(map_, p, rel, sample)
     if per_pair:
         rel, map_, p = (dataclasses.replace(c, array=None) for c in (rel, map_, p))
-    got = relfix.verify._sample_estimates(map_, p, rel, sample)
+    got = estimate_lambda(map_, p, rel, sample)
     assert got == want
     assert least <= got[1].pairs_checked <= most
     assert got[0].pairs_checked < got[1].pairs_checked
@@ -627,7 +620,7 @@ def test_lambda_hat_never_falls_over_nested_lattices(key):
     lambdas = []
     for refine in (1, 2, 4, 8, 16):
         sample = sample_space(fx.space, step=fx.default_step / refine)
-        plain, _ = relfix.verify._sample_estimates(fx.map, fx.wdistance, fx.relation, sample)
+        plain, _ = estimate_lambda(fx.map, fx.wdistance, fx.relation, sample)
         lambdas.append(plain.lambda_hat)
     assert lambdas == sorted(lambdas), lambdas
     if key == "Ex2_4":
@@ -639,10 +632,9 @@ def test_classical_failure_counts_never_fall_over_nested_lattices():
     # the second lattice holds the first, so neither count can fall, and
     # both are counted over every related pair
     fx = FIXTURES["Ex2_3"]()
-    counts = [
-        relfix.verify._classical_failure_counts(
-            fx.map, fx.relation, sample_space(fx.space, step=step)
-        )
-        for step in (2 / 1280, 2 / 2560)
-    ]
+    counts = []
+    for step in (2 / 1280, 2 / 2560):
+        sample = sample_space(fx.space, step=step)
+        comparison = compare_classical(fx.map, fx.space, fx.relation, sample)
+        counts.append((comparison.banach_failure_count, comparison.mt_failure_count))
     assert counts == [(307_360, 307_360), (1_229_120, 1_229_120)]

@@ -89,8 +89,8 @@ MUTANTS = (
            "report.json is json.dumps with sort_keys, so its keys are sorted"),
     Mutant(ENGINE, "index[np.sort(first)]", "index[first]",
            "ancestors are tried in sample order, not in order of their bits"),
-    Mutant(VERIFY, "banach += int(np.count_nonzero(banach_block))",
-           "banach = int(np.count_nonzero(banach_block))",
+    Mutant(VERIFY, "counts[e] += int(np.count_nonzero(fails))",
+           "counts[e] = int(np.count_nonzero(fails))",
            "the classical failure count sums every row block, not the last one"),
     Mutant(ENGINE, "if any(gap > lam**n", "if moving and any(gap > lam**n",
            "an orbit stopped at a fixed point must meet every bound left, to step PROBE_STEPS"),
@@ -119,6 +119,10 @@ MUTANTS = (
            "a separation witness z is near x as well as near some y far from x"),
     Mutant(VERIFY, "image[same] = -math.inf", "image[same] *= 1.0",
            "the off-diagonal estimate leaves out pairs of a point with itself"),
+    Mutant(VERIFY, "if first[e] is None and fails.any():", "if fails.any():",
+           "a classical test's witness is its first failing pair in row-major order"),
+    Mutant(CLI, '"pass": count > 0,', '"pass": count >= 0,',
+           "a classical test that no related pair fails is no counterexample"),
 )
 
 
